@@ -1,0 +1,10 @@
+"""Make the benchmark's modules and the program importable by the tests:
+``PYTHONPATH=src python -m pytest perfbench/tests`` from the repo root."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
