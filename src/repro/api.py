@@ -154,8 +154,8 @@ def solve_points(
     points:
         The :class:`MMSParams` to solve.  All must resolve to the same
         solver method and machine size (that is what lets them stack into
-        one batched AMVA); symmetric batches are bitwise-identical to
-        per-point :func:`solve`.
+        one batched AMVA); results are bitwise-identical to per-point
+        :func:`solve`.
     method:
         Solver selection, as in :func:`solve`; must be homogeneous across
         the batch.

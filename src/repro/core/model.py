@@ -36,6 +36,7 @@ from ..queueing import (
     BatchTelemetry,
     ClosedNetwork,
     QNSolution,
+    SymmetricSolution,
     bard_schweitzer,
     exact_mva,
     linearizer,
@@ -228,17 +229,7 @@ class MMSModel:
                 tol=tol,
                 servers=servers,
             )
-            return self._measures(
-                visits,
-                sol.waiting,
-                sol.queue_length,
-                sol.total_queue,
-                sol.throughput,
-                method,
-                sol.iterations,
-                sol.converged,
-                residual=sol.residual,
-            )
+            return self._measures(visits, sol, method)
         if method in ("amva", "linearizer", "exact"):
             solver = {
                 "amva": bard_schweitzer,
@@ -246,27 +237,31 @@ class MMSModel:
                 "exact": exact_mva,
             }[method]
             network = self.build_network()
-            qsol: QNSolution = solver(network)  # type: ignore[operator]
-            if self.is_symmetric:
-                visits = network.visits[0]
-                return self._measures(
-                    visits,
-                    qsol.waiting[0],
-                    qsol.queue_length[0],
-                    qsol.total_queue_length,
-                    float(qsol.throughput[0]),
-                    method,
-                    qsol.iterations,
-                    qsol.converged,
-                    residual=qsol.residual,
-                )
-            return self._measures_aggregate(network, qsol, method)
+            return self._network_measures(network, solver(network), method)
         raise ValueError(
             f"unknown method {method!r}; pick from symmetric/amva/linearizer/exact"
         )
 
+    def _network_measures(
+        self, network: ClosedNetwork, qsol: QNSolution, method: str
+    ) -> MMSPerformance:
+        """Measures of a full multi-class solution: class 0's view on the
+        symmetric manifold, rate-weighted aggregates otherwise."""
+        if not self.is_symmetric:
+            return self._measures_aggregate(network, qsol, method)
+        class0 = SymmetricSolution(
+            throughput=float(qsol.throughput[0]),
+            waiting=qsol.waiting[0],
+            queue_length=qsol.queue_length[0],
+            total_queue=qsol.total_queue_length,
+            iterations=qsol.iterations,
+            converged=qsol.converged,
+            residual=qsol.residual,
+        )
+        return self._measures(network.visits[0], class0, method)
+
     def _measures_aggregate(
-        self, network: "ClosedNetwork", qsol: QNSolution, method: str
+        self, network: ClosedNetwork, qsol: QNSolution, method: str
     ) -> MMSPerformance:
         """Rate-weighted machine-wide measures for asymmetric workloads.
 
@@ -363,25 +358,18 @@ class MMSModel:
 
     # -------------------------------------------------------------- measures
     def _measures(
-        self,
-        visits: np.ndarray,
-        waiting: np.ndarray,
-        queue0: np.ndarray,
-        total_queue: np.ndarray,
-        throughput: float,
-        method: str,
-        iterations: int,
-        converged: bool,
-        residual: float = 0.0,
+        self, visits: np.ndarray, sol: SymmetricSolution, method: str
     ) -> MMSPerformance:
+        """The paper's measures from a symmetric (class-0) solution."""
         arch, wl = self.params.arch, self.params.workload
+        waiting, total_queue = sol.waiting, sol.total_queue
         p = arch.num_processors
         proc = slice(0, p)
         mem = slice(p, 2 * p)
         inb = slice(2 * p, 3 * p)
         outb = slice(3 * p, 4 * p)
 
-        x = throughput  # lambda_i: accesses issued per time unit per PE
+        x = sol.throughput  # lambda_i: accesses issued per time unit per PE
         u_p = x * wl.runlength
         busy = x * (wl.runlength + arch.context_switch)
         # a single-node machine has no remote modules: all accesses are local
@@ -443,9 +431,9 @@ class MMSModel:
             inbound=stats(inb, arch.switch_delay),
             outbound=stats(outb, arch.switch_delay),
             method=method,
-            iterations=iterations,
-            converged=converged,
-            residual=residual,
+            iterations=sol.iterations,
+            converged=sol.converged,
+            residual=sol.residual,
         )
 
 
@@ -508,12 +496,12 @@ def solve_points(
     shape (same ``P``); service times, visit ratios and populations may vary
     freely -- exactly the structure of the paper's figure sweeps.  Symmetric
     points go through
-    :func:`~repro.queueing.mva_batch.solve_symmetric_batch`, whose per-point
-    results are bitwise-identical to scalar :meth:`MMSModel.solve`, so the
-    sweep backends can be swapped without disturbing cached records.
-    Asymmetric (hotspot/mesh) points go through the multi-class
-    :func:`~repro.queueing.mva_batch.solve_batch` (pointwise equivalent to
-    the scalar AMVA to well below 1e-10, but not bitwise).  ``kernel``
+    :func:`~repro.queueing.mva_batch.solve_symmetric_batch` and asymmetric
+    (hotspot/mesh) or ``method="amva"`` points through the multi-class
+    :func:`~repro.queueing.mva_batch.solve_batch`; the scalar
+    :meth:`MMSModel.solve` runs the same kernels with one point, so
+    per-point results are bitwise-identical to it and the sweep backends
+    can be swapped without disturbing cached records.  ``kernel``
     selects the solver kernel (``"auto"``/``"numpy"``/``"numba"``; kernels
     are bitwise-interchangeable); ``None`` honours :func:`repro.configure`
     and ``REPRO_SOLVE_KERNEL``.
@@ -555,55 +543,29 @@ def _solve_points_impl(
 
     if method == "symmetric":
         arrays = [m.station_arrays() for m in models]
-        visits = np.stack([a[0] for a in arrays])
-        service = np.stack([a[1] for a in arrays])
-        station_type = arrays[0][2]
-        servers = np.stack([a[3] for a in arrays])
-        pops = np.array([m.params.workload.num_threads for m in models])
         sols = solve_symmetric_batch(
-            visits, service, station_type, pops, tol=tol, servers=servers,
+            np.stack([a[0] for a in arrays]),
+            np.stack([a[1] for a in arrays]),
+            arrays[0][2],
+            np.array([m.params.workload.num_threads for m in models]),
+            tol=tol,
+            servers=np.stack([a[3] for a in arrays]),
             kernel=kernel,
         )
         perfs = [
-            model._measures(
-                arr[0],
-                sol.waiting,
-                sol.queue_length,
-                sol.total_queue,
-                sol.throughput,
-                method,
-                sol.iterations,
-                sol.converged,
-                residual=sol.residual,
-            )
+            model._measures(arr[0], sol, method)
             for model, arr, sol in zip(models, arrays, sols)
         ]
-        batch = sols[0].telemetry.batch if sols[0].telemetry else None
-        return perfs, batch
+        return perfs, sols[0].telemetry.batch
 
     if method == "amva":
         networks = [m.build_network() for m in models]
         qsols = solve_batch(networks, kernel=kernel)
-        perfs = []
-        for model, network, qsol in zip(models, networks, qsols):
-            if model.is_symmetric:
-                perfs.append(
-                    model._measures(
-                        network.visits[0],
-                        qsol.waiting[0],
-                        qsol.queue_length[0],
-                        qsol.total_queue_length,
-                        float(qsol.throughput[0]),
-                        method,
-                        qsol.iterations,
-                        qsol.converged,
-                        residual=qsol.residual,
-                    )
-                )
-            else:
-                perfs.append(model._measures_aggregate(network, qsol, method))
-        batch = qsols[0].telemetry.batch if qsols[0].telemetry else None
-        return perfs, batch
+        perfs = [
+            model._network_measures(network, qsol, method)
+            for model, network, qsol in zip(models, networks, qsols)
+        ]
+        return perfs, qsols[0].telemetry.batch
 
     raise ValueError(
         f"solve_points supports method 'auto', 'symmetric' or 'amva'; got {method!r}"

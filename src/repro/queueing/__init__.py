@@ -3,7 +3,7 @@
 from .bounds import AsymptoticBounds, asymptotic_bounds, balanced_job_bounds
 from .convolution import convolution_solve, normalization_constants
 from .mva_approx import bard_schweitzer, linearizer
-from .mva_batch import bard_schweitzer_batch, solve_batch, solve_symmetric_batch
+from .mva_batch import solve_batch, solve_symmetric_batch
 from .mva_exact import exact_mva, exact_mva_single_class, lattice_size
 from .mva_symmetric import SymmetricSolution, solve_symmetric
 from .network import ClosedNetwork, StationKind
@@ -29,7 +29,6 @@ __all__ = [
     "bard_schweitzer",
     "linearizer",
     "solve_batch",
-    "bard_schweitzer_batch",
     "solve_symmetric_batch",
     "SymmetricSolution",
     "solve_symmetric",

@@ -1,7 +1,7 @@
 """Solver-kernel registry and selection: ``auto`` / ``numpy`` / ``numba``.
 
 The batched fixed points in :mod:`repro.queueing.mva_batch` run on a
-pluggable kernel.  ``"numpy"`` is the masked vectorized reference
+pluggable kernel.  ``"numpy"`` is the compacted vectorized reference
 (:mod:`.reference`); ``"numba"`` is the compiled per-point loop
 (:mod:`.compiled`), contractually **bitwise-equal** to the reference, so
 swapping kernels never disturbs cached records, goldens, or the solver

@@ -16,7 +16,7 @@ semantics are untouched -- and is required to match the reference kernel
   slice by slice exactly like a middle-axis ``ndarray.sum``.
 
 Because points of a batched fixed point never interact, iterating each
-point to its own convergence reproduces the masked vectorized kernel's
+point to its own convergence reproduces the compacted vectorized kernel's
 per-point iterate sequence exactly; the active-set trajectory is
 reconstructed from the per-point iteration counts
 (:func:`~.soa.trajectory_from_iterations`).

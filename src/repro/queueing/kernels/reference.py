@@ -1,17 +1,22 @@
-"""The pure-numpy reference kernels: masked, vectorized fixed points.
+"""The pure-numpy reference kernels: compacted, vectorized fixed points.
 
-These are the arbiter of the numeric contract.  Both loops are the
-historical :mod:`repro.queueing.mva_batch` iterations moved verbatim
-behind the kernel seam: per-point arithmetic uses only elementwise
+These are the arbiter of the numeric contract and the only numpy
+implementation of the Bard-Schweitzer iteration: the scalar entry points
+(:func:`~repro.queueing.mva_approx.bard_schweitzer`,
+:func:`~repro.queueing.mva_symmetric.solve_symmetric`) are ``B = 1``
+calls of these loops.  Per-point arithmetic uses only elementwise
 operations and reductions along the class/station axes, whose evaluation
 order does not depend on the batch size, so per-point results are bitwise
 independent of the batch composition.  Any other kernel (see
 :mod:`.compiled`) must reproduce these results bit for bit.
 
-Convergence is **masked**: each iteration only the still-unconverged
-points are updated, and a point whose queue-length change drops below
-``tol`` leaves the active set.  Points never interact, so masking changes
-which rows are touched but never any point's iterate sequence.
+Convergence is **compacted**: the loop keeps the still-unconverged points'
+inputs and iterates as contiguous arrays, and a point whose queue-length
+change drops below ``tol`` is scattered to the outputs and dropped from
+them.  Inputs are gathered once up front and again only when some point
+converges, so an iteration with no convergence pays no gather at all.
+Points never interact, so compaction changes which rows are carried but
+never any point's iterate sequence.
 """
 
 from __future__ import annotations
@@ -32,51 +37,58 @@ def multiclass_fixed_point(
     """Batched Bard-Schweitzer on a ``(B, C, M)`` multi-class stack."""
     b_total = soa.batch
     c, m = soa.shape
-    v, s, extra = soa.visits, soa.service, soa.extra
-    pops, queueing = soa.populations, soa.queueing
-
     q = soa.initial_queues()
     w = np.zeros((b_total, c, m))
     x = np.zeros((b_total, c))
     iterations = np.zeros(b_total, dtype=np.int64)
     residual = np.full(b_total, np.inf)
     converged = np.zeros(b_total, dtype=bool)
-    active = np.arange(b_total)
     trajectory: list[int] = []
 
-    for it in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        trajectory.append(int(active.size))
-        q_a = q[active]
-        pops_a = pops[active]
-        # step 2: arrival-theorem waiting times for the active points
-        q_total = q_a.sum(axis=1, keepdims=True)  # (b, 1, M)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            own = np.where(pops_a[:, :, None] > 0, q_a / pops_a[:, :, None], 0.0)
-        seen = q_total - own
-        w_a = np.where(
-            queueing[active][:, None, :],
-            s[active] * (1.0 + seen) + extra[active],
-            s[active] + extra[active],
-        )
-        # steps 3-4: throughputs and new queue lengths
-        denom = (v[active] * w_a).sum(axis=2)  # (b, C)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_a = np.where(denom > 0, pops_a / denom, 0.0)
-        q_new = x_a[:, :, None] * v[active] * w_a
-        delta = np.abs(q_new - q_a).reshape(active.size, -1).max(axis=1)
+    # the active points' inputs and loop invariants, compacted
+    active = np.arange(b_total)
+    v, s, extra = soa.visits, soa.service, soa.extra
+    pops = soa.populations
+    pops_col = pops[:, :, None]
+    has_pop = pops_col > 0
+    queueing = soa.queueing[:, None, :]
+    fixed = s + extra  # residence at a non-queueing station
+    q_a, w_a, x_a, delta = q, w, x, residual
 
-        q[active] = q_new
-        w[active] = w_a
-        x[active] = x_a
-        iterations[active] = it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if active.size == 0:
+                break
+            trajectory.append(int(active.size))
+            # step 2: arrival-theorem waiting times
+            q_total = q_a.sum(axis=1, keepdims=True)  # (b, 1, M)
+            own = np.where(has_pop, q_a / pops_col, 0.0)
+            w_a = np.where(queueing, s * (1.0 + (q_total - own)) + extra, fixed)
+            # steps 3-4: throughputs and new queue lengths
+            denom = (v * w_a).sum(axis=2)  # (b, C)
+            x_a = np.where(denom > 0, pops / denom, 0.0)
+            q_new = x_a[:, :, None] * v * w_a
+            delta = np.abs(q_new - q_a).reshape(active.size, -1).max(axis=1)
+            q_a = q_new
+            # step 5: converged points are written out and leave the active set
+            done = delta <= tol
+            if done.any():
+                out = active[done]
+                q[out], w[out], x[out] = q_a[done], w_a[done], x_a[done]
+                iterations[out] = it
+                residual[out] = delta[done]
+                converged[out] = True
+                keep = ~done
+                active = active[keep]
+                q_a, w_a, x_a = q_a[keep], w_a[keep], x_a[keep]
+                delta = delta[keep]
+                v, s, extra, fixed = v[keep], s[keep], extra[keep], fixed[keep]
+                pops, queueing, has_pop = pops[keep], queueing[keep], has_pop[keep]
+                pops_col = pops[:, :, None]
+    if active.size and trajectory:  # iteration cap: keep the last iterates
+        q[active], w[active], x[active] = q_a, w_a, x_a
+        iterations[active] = len(trajectory)
         residual[active] = delta
-        # step 5, masked: converged points leave the active set
-        done = delta <= tol
-        if done.any():
-            converged[active[done]] = True
-            active = active[~done]
 
     return FixedPointResult(
         q=q,
@@ -94,8 +106,6 @@ def symmetric_fixed_point(
 ) -> FixedPointResult:
     """Batched Bard-Schweitzer on the ``(B, M)`` symmetric manifold."""
     b_total, m = soa.visits.shape
-    v, s, extra, popf = soa.visits, soa.service, soa.extra, soa.popf
-
     q = soa.initial_queues()
     w = np.zeros((b_total, m))
     x = np.zeros(b_total)
@@ -103,33 +113,44 @@ def symmetric_fixed_point(
     residual = np.zeros(b_total)
     converged = soa.initial_converged()
     residual[~converged] = np.inf
-    active = np.flatnonzero(~converged)
     trajectory: list[int] = []
+
+    # the active points' inputs, compacted
+    active = np.flatnonzero(~converged)
+    v, s, extra = soa.visits[active], soa.service[active], soa.extra[active]
+    pop = soa.popf[active]
+    pop_col = pop[:, None]
+    q_a, w_a, x_a, delta = q[active], w[active], x[active], residual[active]
 
     for it in range(1, max_iter + 1):
         if active.size == 0:
             break
         trajectory.append(int(active.size))
-        q_a = q[active]
-        pop_a = popf[active]
-        t_total = soa.pooled_totals(q_a)
-        seen = t_total - q_a / pop_a[:, None]  # arriving customer's view (BS)
-        w_a = s[active] * (1.0 + seen) + extra[active]
-        denom = (v[active] * w_a).sum(axis=1)
+        seen = soa.pooled_totals(q_a) - q_a / pop_col  # arriving customer's view
+        w_a = s * (1.0 + seen) + extra
+        denom = (v * w_a).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x_a = np.where(denom > 0, pop_a / denom, 0.0)
-        q_new = x_a[:, None] * v[active] * w_a
+            x_a = np.where(denom > 0, pop / denom, 0.0)
+        q_new = x_a[:, None] * v * w_a
         delta = np.abs(q_new - q_a).max(axis=1)
-
-        q[active] = q_new
-        w[active] = w_a
-        x[active] = x_a
-        iterations[active] = it
-        residual[active] = delta
+        q_a = q_new
         done = delta <= tol
         if done.any():
-            converged[active[done]] = True
-            active = active[~done]
+            out = active[done]
+            q[out], w[out], x[out] = q_a[done], w_a[done], x_a[done]
+            iterations[out] = it
+            residual[out] = delta[done]
+            converged[out] = True
+            keep = ~done
+            active = active[keep]
+            q_a, w_a, x_a, delta = q_a[keep], w_a[keep], x_a[keep], delta[keep]
+            v, s, extra = v[keep], s[keep], extra[keep]
+            pop = pop[keep]
+            pop_col = pop[:, None]
+    if active.size and trajectory:  # iteration cap: keep the last iterates
+        q[active], w[active], x[active] = q_a, w_a, x_a
+        iterations[active] = len(trajectory)
+        residual[active] = delta
 
     return FixedPointResult(
         q=q,

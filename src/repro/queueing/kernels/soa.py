@@ -58,7 +58,7 @@ def trajectory_from_iterations(iterations: np.ndarray) -> tuple[int, ...]:
     ``1..k`` (and a pre-converged point, ``k = 0``, never was), so the
     active-set size when iteration ``it`` started is exactly the number of
     points with ``iterations >= it``.  This lets kernels that iterate each
-    point independently report the identical trajectory the masked
+    point independently report the identical trajectory the compacted
     vectorized kernel records in-loop.
     """
     if iterations.size == 0:

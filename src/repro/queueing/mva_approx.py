@@ -5,9 +5,13 @@ class-``i`` customer sees at population ``N`` by the proportional reduction
 
     Q_m(N - e_i)  ~=  (N_i - 1)/N_i * Q_{i,m}(N)  +  sum_{j != i} Q_{j,m}(N)
 
-and iterates steps 2-5 of Figure 3 until the queue lengths are stable.  The
-implementation below is fully vectorized over classes x stations and supports
-zero-service (ideal) stations and delay stations.
+and iterates steps 2-5 of Figure 3 until the queue lengths are stable.
+The iteration itself lives in the solver kernels
+(:mod:`repro.queueing.kernels`); :func:`bard_schweitzer` is the ``B = 1``
+call of :func:`repro.queueing.mva_batch.solve_batch`, so a network solved
+alone and the same network solved inside a sweep-sized batch give
+bitwise-identical results.  Zero-service (ideal) stations and delay
+stations are supported.
 
 An optional Linearizer-style refinement (:func:`linearizer`) is provided as a
 higher-accuracy alternative (Chandy & Neuse's scheme, simplified to the
@@ -16,41 +20,13 @@ standard three-pass core); the paper's results use plain Bard-Schweitzer.
 
 from __future__ import annotations
 
-import time
-import warnings
-
 import numpy as np
 
+from . import mva_batch
 from .network import ClosedNetwork
-from .solution import (
-    ConvergenceError,
-    ConvergenceWarning,
-    QNSolution,
-    SolverTelemetry,
-)
+from .solution import QNSolution
 
 __all__ = ["bard_schweitzer", "linearizer"]
-
-
-def _bs_waiting(
-    service: np.ndarray,
-    queueing: np.ndarray,
-    q: np.ndarray,
-    pops: np.ndarray,
-    delay: np.ndarray | None = None,
-) -> np.ndarray:
-    """One arrival-theorem evaluation of the (C, M) waiting-time matrix.
-
-    ``service`` is the queueing portion (``s/m`` under Seidmann) and
-    ``delay`` the fixed multi-server pipeline term (zero for single
-    servers).
-    """
-    q_total = q.sum(axis=0, keepdims=True)  # (1, M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        own_share = np.where(pops[:, None] > 0, q / pops[:, None], 0.0)
-    seen = q_total - own_share  # (C, M): Q_m(N - e_c) estimate
-    d = 0.0 if delay is None else delay
-    return np.where(queueing[None, :], service * (1.0 + seen) + d, service + d)
 
 
 def bard_schweitzer(
@@ -61,74 +37,16 @@ def bard_schweitzer(
 ) -> QNSolution:
     """Solve a closed multi-class network with the Bard-Schweitzer AMVA.
 
-    Parameters
-    ----------
-    network:
-        Specification (zero service times allowed: such stations contribute
-        no waiting -- the paper's "ideal subsystem").
-    tol:
-        Convergence threshold on the max absolute queue-length change
-        (the paper's ``difference(n_im_new, n_im_old) > tolerance`` test).
-    max_iter:
-        Iteration cap; the fixed point is a contraction in practice and
-        converges in tens of iterations for the paper's configurations.
-        Exhausting it emits a :class:`ConvergenceWarning` (the result is
-        still returned, flagged ``converged=False`` with its residual).
-    strict:
-        Raise :class:`ConvergenceError` instead of warning when the cap is
-        exhausted.
+    ``tol`` is the convergence threshold on the max absolute queue-length
+    change and ``max_iter`` the iteration cap; exhausting it emits a
+    :class:`~repro.queueing.solution.ConvergenceWarning` (the last iterate
+    is returned, flagged ``converged=False``), or raises
+    :class:`~repro.queueing.solution.ConvergenceError` under ``strict``.
+    This is a single-point :func:`~repro.queueing.mva_batch.solve_batch`.
     """
-    t0 = time.perf_counter()
-    c, m = network.num_classes, network.num_stations
-    v = network.visits
-    s, extra = network.seidmann_split()
-    pops = network.populations.astype(np.float64)
-    queueing = network.queueing_mask()
-
-    # Figure 3, step 1: spread each class evenly over the stations it visits.
-    visited = v > 0
-    n_visited = np.maximum(visited.sum(axis=1, keepdims=True), 1)
-    q = np.where(visited, pops[:, None] / n_visited, 0.0)
-
-    x = np.zeros(c)
-    w = np.zeros((c, m))
-    converged = False
-    it = 0
-    delta = 0.0
-    for it in range(1, max_iter + 1):
-        w = _bs_waiting(s, queueing, q, pops, extra)  # step 2
-        denom = np.einsum("cm,cm->c", v, w)  # step 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(denom > 0, pops / denom, 0.0)
-        q_new = x[:, None] * v * w  # step 4
-        delta = float(np.max(np.abs(q_new - q), initial=0.0))
-        q = q_new
-        if delta <= tol:  # step 5
-            converged = True
-            break
-    if not converged and it:
-        msg = (
-            f"bard_schweitzer did not converge within {max_iter} iterations "
-            f"(residual {delta:.3e} > tol {tol:.1e})"
-        )
-        if strict:
-            raise ConvergenceError(msg)
-        warnings.warn(msg, ConvergenceWarning, stacklevel=2)
-    return QNSolution(
-        network=network,
-        throughput=x,
-        waiting=w,
-        queue_length=q,
-        iterations=it,
-        converged=converged,
-        residual=delta,
-        telemetry=SolverTelemetry(
-            iterations=it,
-            residual=delta,
-            converged=converged,
-            wall_time_s=time.perf_counter() - t0,
-        ),
-    )
+    return mva_batch.solve_batch(
+        [network], tol=tol, max_iter=max_iter, strict=strict
+    )[0]
 
 
 def linearizer(
@@ -204,9 +122,7 @@ def linearizer(
         if moved <= tol:
             break
 
-    # Final consistent measures from the converged queues.
-    w = _bs_waiting(s, queueing, q_full, pops)
-    # Recompute waiting via the linearizer's own arrival estimate for accuracy.
+    # Final consistent measures from the linearizer's own arrival estimate.
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(pops[:, None] > 0, q_full / pops[:, None], 0.0)
     seen = np.empty((c, m))

@@ -7,7 +7,7 @@ lattice point-by-point re-enters Python once per point; here the whole
 lattice is packed into structure-of-arrays state
 (:mod:`repro.queueing.kernels.soa`) and iterated by a solver kernel:
 
-* ``"numpy"`` -- the masked vectorized reference
+* ``"numpy"`` -- the compacted vectorized reference
   (:mod:`repro.queueing.kernels.reference`); each iteration only the
   still-unconverged points are updated, and a point whose queue-length
   change drops below ``tol`` leaves the active set -- exactly like
@@ -20,7 +20,7 @@ lattice is packed into structure-of-arrays state
   < :func:`repro.configure(kernel=...) <repro.configure>` < the explicit
   ``kernel=`` argument here.
 
-The per-point iterate sequence is unchanged by masking or kernel choice
+The per-point iterate sequence is unchanged by compaction or kernel choice
 (points never interact), so each point converges in the same number of
 iterations, to the same values, as a scalar solve.
 
@@ -28,29 +28,33 @@ Numerical contract
 ------------------
 Per-point arithmetic uses only elementwise operations and reductions along
 the class/station axes, whose evaluation order does not depend on the batch
-size.  :func:`solve_symmetric_batch` is therefore bitwise-identical across
-batch compositions (``B = 1`` vs. ``B = 176`` give the same floats) **and
-across kernels**, which is what lets
-:func:`~repro.queueing.mva_symmetric.solve_symmetric` delegate here and
-lets serial, batched and process-pool sweep backends emit
-bitwise-identical records under any kernel.  :func:`solve_batch` (the
-multi-class kernel) carries the same bitwise cross-kernel contract and is
-property-tested pointwise-equivalent to
-:func:`~repro.queueing.mva_approx.bard_schweitzer` to well below 1e-10.
-The conformance suite (``tests/queueing/test_kernel_conformance.py``)
-pins the full backend x kernel matrix.
+size.  Both entry points are therefore bitwise-identical across batch
+compositions (``B = 1`` vs. ``B = 176`` give the same floats) **and
+across kernels**, which is what lets the scalar solvers
+:func:`~repro.queueing.mva_symmetric.solve_symmetric` and
+:func:`~repro.queueing.mva_approx.bard_schweitzer` be ``B = 1`` calls
+here and lets serial, batched and process-pool sweep backends emit
+bitwise-identical records under any kernel.  The conformance suite
+(``tests/queueing/test_kernel_conformance.py``) pins the full backend x
+kernel matrix.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..resilience.faults import InjectedFault, fault_point
-from .kernels import MulticlassSoA, SymmetricSoA, kernel_impl, resolve_kernel
+from .kernels import (
+    FixedPointResult,
+    MulticlassSoA,
+    SymmetricSoA,
+    kernel_impl,
+    resolve_kernel,
+)
 from .mva_symmetric import SymmetricSolution
 from .network import ClosedNetwork
 from .solution import (
@@ -61,18 +65,83 @@ from .solution import (
     SolverTelemetry,
 )
 
-__all__ = ["solve_batch", "bard_schweitzer_batch", "solve_symmetric_batch"]
+__all__ = ["solve_batch", "solve_symmetric_batch"]
 
 
-def _nonconvergence(label: str, stragglers: int, residual: float, tol: float,
-                    max_iter: int, strict: bool) -> None:
-    msg = (
-        f"{label}: {stragglers} point(s) did not converge within "
-        f"{max_iter} iterations (worst residual {residual:.3e} > tol {tol:.1e})"
+def _run_kernel(
+    label: str,
+    pack: Callable[[], MulticlassSoA | SymmetricSoA],
+    fixed_point: str,
+    tol: float,
+    max_iter: int,
+    strict: bool,
+    kernel: str | None,
+) -> tuple[MulticlassSoA | SymmetricSoA, FixedPointResult, BatchTelemetry] | None:
+    """The shell both entry points share around one kernel call.
+
+    Fires the ``solve.raise`` fault site, packs the inputs, runs the
+    selected kernel's ``fixed_point`` loop, warns about (or, under
+    ``strict``, raises on) points that exhausted ``max_iter``, fires the
+    ``solve.nan`` site that poisons one point's measures (chaos testing),
+    and records the batch telemetry.  ``None`` for an empty batch.
+    """
+    if fault_point("solve.raise") is not None:
+        raise InjectedFault(f"injected failure at {label} entry")
+    t0 = time.perf_counter()
+    soa = pack()
+    b_total = soa.batch
+    if b_total == 0:
+        return None
+    kernel_name = resolve_kernel(kernel)
+    res = getattr(kernel_impl(kernel_name), fixed_point)(soa, tol, max_iter)
+
+    converged = int(res.converged.sum())
+    if converged < b_total:
+        msg = (
+            f"{label}: {b_total - converged} point(s) did not converge "
+            f"within {max_iter} iterations (worst residual "
+            f"{float(res.residual[~res.converged].max()):.3e} > tol {tol:.1e})"
+        )
+        if strict:
+            raise ConvergenceError(msg)
+        warnings.warn(msg, ConvergenceWarning, stacklevel=3)
+
+    spec = fault_point("solve.nan")
+    if spec is not None:
+        i = int(spec.args.get("index", 0)) % b_total
+        res.x[i] = np.nan
+        res.w[i] = np.nan
+        res.q[i] = np.nan
+
+    batch = BatchTelemetry(
+        batch_size=b_total,
+        iterations=int(res.iterations.max(initial=0)),
+        converged=converged,
+        max_residual=float(np.max(res.residual, initial=0.0)),
+        active_trajectory=res.trajectory,
+        wall_time_s=time.perf_counter() - t0,
+        kernel=kernel_name,
     )
-    if strict:
-        raise ConvergenceError(msg)
-    warnings.warn(msg, ConvergenceWarning, stacklevel=3)
+    return soa, res, batch
+
+
+def _point_fields(
+    res: FixedPointResult, i: int, batch: BatchTelemetry
+) -> dict[str, object]:
+    """Point ``i``'s convergence fields, as both solution types take them."""
+    telemetry = SolverTelemetry(
+        iterations=int(res.iterations[i]),
+        residual=float(res.residual[i]),
+        converged=bool(res.converged[i]),
+        wall_time_s=batch.wall_time_s,
+        batch=batch,
+    )
+    return {
+        "iterations": telemetry.iterations,
+        "converged": telemetry.converged,
+        "residual": telemetry.residual,
+        "telemetry": telemetry,
+    }
 
 
 def solve_batch(
@@ -89,11 +158,11 @@ def solve_batch(
     networks:
         Network specifications; all must share the ``(C, M)`` shape (service
         times, visit ratios, populations and server counts may differ
-        freely).  Zero-service (ideal-subsystem) stations are allowed, as in
-        the scalar solver.
+        freely).  Zero-service (ideal-subsystem) stations are allowed.
     tol / max_iter:
-        Per-point convergence threshold and iteration cap (the scalar
-        :func:`~repro.queueing.mva_approx.bard_schweitzer` defaults).
+        Per-point convergence threshold on the max absolute queue-length
+        change (the paper's ``difference(n_im_new, n_im_old) > tolerance``
+        test) and iteration cap.
     strict:
         Raise :class:`ConvergenceError` if any point exhausts ``max_iter``;
         the default emits a :class:`ConvergenceWarning` and returns the last
@@ -111,62 +180,22 @@ def solve_batch(
     """
     if not networks:
         return []
-    if fault_point("solve.raise") is not None:
-        raise InjectedFault("injected failure at solve_batch entry")
-    t0 = time.perf_counter()
-    soa = MulticlassSoA.from_networks(networks)
-    b_total = len(networks)
-    kernel_name = resolve_kernel(kernel)
-    res = kernel_impl(kernel_name).multiclass_fixed_point(soa, tol, max_iter)
-
-    stragglers = b_total - int(res.converged.sum())
-    if stragglers:
-        _nonconvergence(
-            "solve_batch", stragglers,
-            float(res.residual[~res.converged].max()),
-            tol, max_iter, strict,
-        )
-
-    x, w, q = res.x, res.w, res.q
-    spec = fault_point("solve.nan")
-    if spec is not None:  # poison one point's measures (chaos testing)
-        i = int(spec.args.get("index", 0)) % b_total
-        x[i] = np.nan
-        w[i] = np.nan
-        q[i] = np.nan
-
-    batch = BatchTelemetry(
-        batch_size=b_total,
-        iterations=int(res.iterations.max(initial=0)),
-        converged=int(res.converged.sum()),
-        max_residual=float(np.max(res.residual, initial=0.0)),
-        active_trajectory=res.trajectory,
-        wall_time_s=time.perf_counter() - t0,
-        kernel=kernel_name,
+    _soa, res, batch = _run_kernel(
+        "solve_batch",
+        lambda: MulticlassSoA.from_networks(networks),
+        "multiclass_fixed_point",
+        tol, max_iter, strict, kernel,
     )
     return [
         QNSolution(
             network=net,
-            throughput=x[i],
-            waiting=w[i],
-            queue_length=q[i],
-            iterations=int(res.iterations[i]),
-            converged=bool(res.converged[i]),
-            residual=float(res.residual[i]),
-            telemetry=SolverTelemetry(
-                iterations=int(res.iterations[i]),
-                residual=float(res.residual[i]),
-                converged=bool(res.converged[i]),
-                wall_time_s=batch.wall_time_s,
-                batch=batch,
-            ),
+            throughput=res.x[i],
+            waiting=res.w[i],
+            queue_length=res.q[i],
+            **_point_fields(res, i, batch),
         )
         for i, net in enumerate(networks)
     ]
-
-
-#: explicit alias: the batched counterpart of the scalar ``bard_schweitzer``
-bard_schweitzer_batch = solve_batch
 
 
 def solve_symmetric_batch(
@@ -194,57 +223,25 @@ def solve_symmetric_batch(
     :func:`~repro.queueing.mva_symmetric.solve_symmetric` is this kernel
     with ``B = 1``.
     """
-    if fault_point("solve.raise") is not None:
-        raise InjectedFault("injected failure at solve_symmetric_batch entry")
-    t0 = time.perf_counter()
-    soa = SymmetricSoA.pack(visits, service, station_type, populations, servers)
-    b_total = soa.batch
-    if b_total == 0:
-        return []
-    kernel_name = resolve_kernel(kernel)
-    res = kernel_impl(kernel_name).symmetric_fixed_point(soa, tol, max_iter)
-
-    stragglers = b_total - int(res.converged.sum())
-    if stragglers:
-        _nonconvergence(
-            "solve_symmetric_batch", stragglers,
-            float(res.residual[~res.converged].max()), tol, max_iter, strict,
-        )
-
-    x, w, q = res.x, res.w, res.q
-    spec = fault_point("solve.nan")
-    if spec is not None:  # poison one point's measures (chaos testing)
-        i = int(spec.args.get("index", 0)) % b_total
-        x[i] = np.nan
-        w[i] = np.nan
-        q[i] = np.nan
-
-    total_queue = soa.pooled_totals(q)
-    batch = BatchTelemetry(
-        batch_size=b_total,
-        iterations=int(res.iterations.max(initial=0)),
-        converged=int(res.converged.sum()),
-        max_residual=float(np.max(res.residual, initial=0.0)),
-        active_trajectory=res.trajectory,
-        wall_time_s=time.perf_counter() - t0,
-        kernel=kernel_name,
+    ran = _run_kernel(
+        "solve_symmetric_batch",
+        lambda: SymmetricSoA.pack(
+            visits, service, station_type, populations, servers
+        ),
+        "symmetric_fixed_point",
+        tol, max_iter, strict, kernel,
     )
+    if ran is None:
+        return []
+    soa, res, batch = ran
+    total_queue = soa.pooled_totals(res.q)
     return [
         SymmetricSolution(
-            throughput=float(x[i]),
-            waiting=w[i],
-            queue_length=q[i],
+            throughput=float(res.x[i]),
+            waiting=res.w[i],
+            queue_length=res.q[i],
             total_queue=total_queue[i],
-            iterations=int(res.iterations[i]),
-            converged=bool(res.converged[i]),
-            residual=float(res.residual[i]),
-            telemetry=SolverTelemetry(
-                iterations=int(res.iterations[i]),
-                residual=float(res.residual[i]),
-                converged=bool(res.converged[i]),
-                wall_time_s=batch.wall_time_s,
-                batch=batch,
-            ),
+            **_point_fields(res, i, batch),
         )
-        for i in range(b_total)
+        for i in range(batch.batch_size)
     ]

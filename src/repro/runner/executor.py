@@ -57,6 +57,7 @@ from ..obs.trace import configure
 from ..params import MMSParams
 from ..queueing.kernels import resolve_kernel
 from ..queueing.kernels.shm import SharedArrays, attach_arrays, write_arrays
+from ..queueing.mva_symmetric import SymmetricSolution
 from ..resilience.degrade import DegradationPolicy
 from ..resilience.faults import fault_point
 from ..resilience.integrity import finite_measures
@@ -72,7 +73,6 @@ __all__ = [
     "solve_job",
     "solve_group_shm",
     "BACKENDS",
-    "BATCHABLE_METHODS",
 ]
 
 #: a worker callable: JSON payload in, ``{"perf": dict, "elapsed": s}`` out
@@ -82,8 +82,6 @@ Progress = Callable[[int, int, RunResult], None]
 
 #: recognised execution backends
 BACKENDS = ("auto", "batch", "process", "serial")
-#: solver methods the batched kernel accepts; others always run per-point
-BATCHABLE_METHODS = ("symmetric", "amva")
 #: poll interval while a pooled point waits for a worker slot
 _POLL_S = 0.05
 
@@ -911,17 +909,16 @@ class SweepRunner:
         share = float(out["elapsed"]) / len(group)
         results = []
         for i, ((payload, model), arr) in enumerate(zip(group, arrays)):
-            perf = model._measures(
-                arr[0],
-                res["waiting"][i],
-                res["queue"][i],
-                res["total_queue"][i],
-                float(res["throughput"][i]),
-                "symmetric",
-                int(res["iterations"][i]),
-                bool(res["converged"][i]),
+            sol = SymmetricSolution(
+                throughput=float(res["throughput"][i]),
+                waiting=res["waiting"][i],
+                queue_length=res["queue"][i],
+                total_queue=res["total_queue"][i],
+                iterations=int(res["iterations"][i]),
+                converged=bool(res["converged"][i]),
                 residual=float(res["residual"][i]),
             )
+            perf = model._measures(arr[0], sol, "symmetric")
             rec = {"perf": perf.to_dict(), "elapsed": share, "amortized": True}
             if not finite_measures(rec["perf"]):
                 raise RuntimeError("non-finite measures in shared-memory batch")

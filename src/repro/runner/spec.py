@@ -38,7 +38,8 @@ __all__ = [
 #: Bump whenever a solver change alters any cached measure: every store
 #: created under a different version invalidates itself on open.
 #: "2": batched AMVA kernels; symmetric-path pooling reductions reordered.
-SOLVER_VERSION = "2"
+#: "3": per-point ``amva`` and ``hier`` solves run the batch kernel at B=1.
+SOLVER_VERSION = "3"
 
 #: Every timed-out point's :attr:`RunResult.error` starts with this prefix
 #: (the executor writes ``"timeout after <budget>s"``).  The fabric's

@@ -14,19 +14,24 @@ processor (``num_threads`` threads each) over the station layout
     [P processors][P memories][P intra links][c gateways],   P = c * g
 
 -- but is solved with the full multi-class Bard-Schweitzer AMVA
-(:func:`repro.queueing.bard_schweitzer`): the ``c`` gateway stations are
+(:func:`repro.queueing.solve_batch`): the ``c`` gateway stations are
 shared by ``g`` classes each, so the symmetric fast path's per-label
 queue pooling (which assumes one station per class per label) does not
 apply.  Remote accesses traverse the source and destination
 intra-cluster links (two crossings each for request + reply), and
 inter-cluster accesses additionally cross both the source and
 destination gateways.
+
+Points of one machine shape (``clusters``, ``cluster_size``) pack into
+one stacked fixed point, so a sweep batches like the torus does; a single
+:meth:`HierScenario.solve` is the one-point batch, bitwise-equal to the
+same point solved inside any sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -196,7 +201,7 @@ class HierScenario(Scenario):
     name = "hier"
     title = "mesh-of-clusters with mixed intra/inter-cluster link speeds"
     params_type = HierParams
-    batchable_methods = ()
+    batchable_methods = ("amva",)
     tolerance_subsystems = ("network", "interlink", "memory")
 
     def default_params(self) -> HierParams:
@@ -219,11 +224,35 @@ class HierScenario(Scenario):
         method: str = "auto",
         tol: float = 1e-12,
     ) -> ScenarioPerformance:
-        from ..queueing import bard_schweitzer
+        perfs, _batch = self.solve_points([params], method=method, tol=tol)
+        return perfs[0]
 
-        canonical = self.canonical_method(params, method)
-        network = build_network(params)
-        sol = bard_schweitzer(network, tol=tol)
+    def solve_points(
+        self,
+        points: Sequence[HierParams],
+        method: str = "auto",
+        tol: float = 1e-12,
+        kernel: str | None = None,
+    ) -> tuple[list[ScenarioPerformance], Any]:
+        from ..queueing import solve_batch
+
+        if not points:
+            return [], None
+        canonical = self.canonical_method(points[0], method)
+        networks = [build_network(p) for p in points]
+        sols = solve_batch(networks, tol=tol, kernel=kernel)
+        perfs = [
+            self._performance(p, net, sol, canonical)
+            for p, net, sol in zip(points, networks, sols)
+        ]
+        return perfs, sols[0].telemetry.batch
+
+    def group_key(self, params: HierParams) -> Any:
+        return (params.clusters, params.cluster_size)
+
+    def _performance(
+        self, params: HierParams, network: Any, sol: Any, method: str
+    ) -> ScenarioPerformance:
         n_proc = params.num_processors
         x = float(sol.throughput[0])
         p_rem, _intra, _inter = _routing(params)
@@ -242,7 +271,7 @@ class HierScenario(Scenario):
         )
         return ScenarioPerformance(
             scenario=self.name,
-            method=canonical,
+            method=method,
             measures={
                 "U_p": x * params.runlength,
                 "throughput": x,

@@ -1,7 +1,7 @@
 """Property tests: batched kernels are equivalent to their scalar solvers.
 
-The batched Bard-Schweitzer (:func:`repro.queueing.solve_batch`) must agree
-with scalar :func:`repro.queueing.bard_schweitzer` pointwise to <= 1e-10 on
+The batched Bard-Schweitzer (:func:`repro.queueing.solve_batch`) must be
+bitwise identical to scalar :func:`repro.queueing.bard_schweitzer` on
 *any* same-shape batch -- single-point batches and zero-service (ideal)
 stations included -- and the symmetric-manifold batch must be bitwise
 identical to its scalar entry point regardless of batch composition.
@@ -85,10 +85,11 @@ class TestMultiClassEquivalence:
         batch = solve_batch(nets)
         for net, got in zip(nets, batch):
             ref = bard_schweitzer(net)
-            assert float(np.max(np.abs(got.queue_length - ref.queue_length), initial=0.0)) <= 1e-10
-            assert float(np.max(np.abs(got.throughput - ref.throughput), initial=0.0)) <= 1e-10
-            assert float(np.max(np.abs(got.waiting - ref.waiting), initial=0.0)) <= 1e-10
+            assert np.array_equal(got.queue_length, ref.queue_length)
+            assert np.array_equal(got.throughput, ref.throughput)
+            assert np.array_equal(got.waiting, ref.waiting)
             assert got.converged == ref.converged
+            assert got.residual == ref.residual
 
     @given(nets=network_batches())
     @settings(max_examples=30, deadline=None)
@@ -97,7 +98,7 @@ class TestMultiClassEquivalence:
         whole = solve_batch(nets)
         for net, got in zip(nets, whole):
             (alone,) = solve_batch([net])
-            assert float(np.max(np.abs(got.queue_length - alone.queue_length), initial=0.0)) <= 1e-10
+            assert np.array_equal(got.queue_length, alone.queue_length)
             assert got.iterations == alone.iterations
 
 

@@ -64,25 +64,22 @@ class TestLatticeEquivalence:
 
     def test_multiclass_batch_matches_scalar_on_figure4_lattice(self):
         """solve_batch vs scalar bard_schweitzer on the same lattice's full
-        multi-class networks: pointwise <= 1e-10 everywhere."""
+        multi-class networks: bitwise everywhere."""
         networks = [MMSModel(p).build_network() for p in _lattice_points()]
         batch = solve_batch(networks)
-        worst = 0.0
         for net, got in zip(networks, batch):
             ref = bard_schweitzer(net)
-            worst = max(
-                worst,
-                float(np.max(np.abs(got.queue_length - ref.queue_length))),
-                float(np.max(np.abs(got.waiting - ref.waiting))),
-                float(np.max(np.abs(got.throughput - ref.throughput))),
-            )
-        assert worst <= 1e-10, f"batch/scalar divergence {worst:.3e}"
+            assert np.array_equal(got.queue_length, ref.queue_length)
+            assert np.array_equal(got.waiting, ref.waiting)
+            assert np.array_equal(got.throughput, ref.throughput)
+            assert got.iterations == ref.iterations
+            assert got.residual == ref.residual
 
     def test_single_point_batch_is_scalar(self):
         net = MMSModel(paper_defaults(k=2)).build_network()
         (got,) = solve_batch([net])
         ref = bard_schweitzer(net)
-        assert float(np.max(np.abs(got.queue_length - ref.queue_length))) <= 1e-10
+        assert np.array_equal(got.queue_length, ref.queue_length)
         assert got.iterations == ref.iterations
 
 

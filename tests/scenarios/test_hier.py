@@ -147,6 +147,40 @@ class TestSolve:
         assert HIER.perf_from_dict(perf.to_dict()).to_dict() == perf.to_dict()
 
 
+class TestBatch:
+    POINTS = [SMALL.with_(num_threads=n, inter_delay=d)
+              for n in (1, 2, 4, 8) for d in (5.0, 40.0)]
+
+    def test_batchable_and_grouped_by_machine_shape(self):
+        assert HIER.batchable_methods == ("amva",)
+        assert HIER.group_key(SMALL) == HIER.group_key(SMALL.with_(num_threads=9))
+        assert HIER.group_key(SMALL) != HIER.group_key(
+            SMALL.with_(clusters=4, cluster_size=1)
+        )
+
+    def test_solve_points_bitwise_equals_per_point_solve(self):
+        perfs, telemetry = HIER.solve_points(self.POINTS)
+        assert telemetry.batch_size == len(self.POINTS)
+        for point, perf in zip(self.POINTS, perfs):
+            assert perf.to_dict() == HIER.solve(point).to_dict()
+
+    def test_sweep_records_bitwise_equal_per_point_solve(self):
+        """Which path filled a cache entry must not change its bytes."""
+        records = repro.sweep(
+            {"num_threads": [2, 4, 8]}, scenario="hier", backend="batch"
+        )
+        for rec in records:
+            point = HierParams(num_threads=rec["num_threads"])
+            assert (
+                rec["perf"].to_dict()
+                == repro.solve(point, scenario="hier").to_dict()
+            )
+
+    def test_mixed_machine_shapes_rejected(self):
+        with pytest.raises(ValueError, match="share one"):
+            HIER.solve_points([SMALL, SMALL.with_(clusters=3)])
+
+
 class TestTolerance:
     def test_subsystem_catalogue(self):
         assert HIER.tolerance_subsystems == ("network", "interlink", "memory")

@@ -42,10 +42,27 @@ class TestSolveBitwise:
             assert TORUS.canonical_method(params, "auto") == expected
 
     def test_solve_points_batch_equals_per_point_solve(self):
-        points = [paper_defaults(num_threads=n) for n in (1, 2, 4, 8)]
-        perfs, _telemetry = TORUS.solve_points(points, method="symmetric")
-        for point, perf in zip(points, perfs):
-            assert perf.to_dict() == MMSModel(point).solve("symmetric").to_dict()
+        for points, method in (
+            ([paper_defaults(num_threads=n) for n in (1, 2, 4, 8)], "symmetric"),
+            (
+                [paper_defaults(num_threads=n, pattern="hotspot") for n in (2, 4, 8)],
+                "amva",
+            ),
+        ):
+            perfs, _telemetry = TORUS.solve_points(points, method=method)
+            for point, perf in zip(points, perfs):
+                assert perf.to_dict() == MMSModel(point).solve(method).to_dict()
+
+    def test_hotspot_sweep_records_equal_per_point_solve(self):
+        """Which path filled a cache entry must not change its bytes."""
+        records = repro.sweep(
+            {"num_threads": [2, 4, 8]},
+            base=paper_defaults(pattern="hotspot"),
+            backend="batch",
+        )
+        for rec in records:
+            point = paper_defaults(num_threads=rec["num_threads"], pattern="hotspot")
+            assert rec["perf"].to_dict() == repro.solve(point).to_dict()
 
 
 class TestCacheKeyBitwise:
