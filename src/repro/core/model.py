@@ -362,12 +362,15 @@ class MMSModel:
     ) -> MMSPerformance:
         """The paper's measures from a symmetric (class-0) solution."""
         arch, wl = self.params.arch, self.params.workload
-        waiting, total_queue = sol.waiting, sol.total_queue
         p = arch.num_processors
-        proc = slice(0, p)
-        mem = slice(p, 2 * p)
-        inb = slice(2 * p, 3 * p)
-        outb = slice(3 * p, 4 * p)
+        # one row per station kind (processor, memory, inbound, outbound);
+        # each row's sum and dot product are those of its 1-D slice
+        kind_v = visits.reshape(4, p)
+        kind_w = sol.waiting.reshape(4, p)
+        v_sum = kind_v.sum(axis=1).tolist()
+        vw = [np.dot(v, w) for v, w in zip(kind_v, kind_w)]
+        visited = (kind_v > 0).any(axis=1).tolist()
+        q_first = sol.total_queue[::p].tolist()
 
         x = sol.throughput  # lambda_i: accesses issued per time unit per PE
         u_p = x * wl.runlength
@@ -376,14 +379,9 @@ class MMSModel:
         p_rem_eff = wl.p_remote if p > 1 else 0.0
         lam_net = x * p_rem_eff
 
-        v_mem = visits[mem]
-        w_mem = waiting[mem]
-        mem_visits_total = float(v_mem.sum())  # == 1 per cycle
-        l_obs = (
-            float(np.dot(v_mem, w_mem) / mem_visits_total)
-            if mem_visits_total > 0
-            else 0.0
-        )
+        v_mem, w_mem = kind_v[1], kind_w[1]
+        mem_visits_total = v_sum[1]  # == 1 per cycle
+        l_obs = float(vw[1] / mem_visits_total) if mem_visits_total > 0 else 0.0
         l_local = float(w_mem[0]) if v_mem[0] > 0 else 0.0
         v_remote = v_mem.copy()
         v_remote[0] = 0.0
@@ -393,26 +391,21 @@ class MMSModel:
         # Eq. (1): total switch residence per cycle; divide by the two one-way
         # trips each of the p_remote remote accesses makes to get the mean
         # one-way observed network latency.
-        net_residence = float(
-            np.dot(visits[inb], waiting[inb]) + np.dot(visits[outb], waiting[outb])
-        )
+        net_residence = float(vw[2] + vw[3])
         s_obs = net_residence / (2.0 * wl.p_remote) if wl.p_remote > 0 else 0.0
         round_trip = 2.0 * s_obs + l_remote if wl.p_remote > 0 else 0.0
 
-        def stats(sl: slice, service_time: float, ports: int = 1) -> SubsystemStats:
-            v_sl, w_sl = visits[sl], waiting[sl]
-            visited = v_sl > 0
-            per_visit = (
-                float(np.dot(v_sl, w_sl) / v_sl.sum()) if visited.any() else 0.0
-            )
+        def stats(kind: int, service_time: float, ports: int = 1) -> SubsystemStats:
+            per_visit = float(vw[kind] / v_sum[kind]) if visited[kind] else 0.0
             # Utilization of a station of this kind: every station of a kind
             # carries the same total load by symmetry (P classes each
             # contributing x * v / P ... equivalently x * sum(v) per station),
             # spread over its `ports` servers.
-            util = x * float(v_sl.sum()) * service_time / ports
-            q_tot = float(total_queue[sl][0]) if sl.stop > sl.start else 0.0
+            util = x * v_sum[kind] * service_time / ports
             return SubsystemStats(
-                utilization=util, queue_length=q_tot, residence_per_visit=per_visit
+                utilization=util,
+                queue_length=q_first[kind],
+                residence_per_visit=per_visit,
             )
 
         return MMSPerformance(
@@ -426,10 +419,10 @@ class MMSModel:
             l_obs_local=l_local,
             l_obs_remote=l_remote,
             remote_round_trip=round_trip,
-            processor=stats(proc, wl.runlength + arch.context_switch),
-            memory=stats(mem, arch.memory_latency, arch.memory_ports),
-            inbound=stats(inb, arch.switch_delay),
-            outbound=stats(outb, arch.switch_delay),
+            processor=stats(0, wl.runlength + arch.context_switch),
+            memory=stats(1, arch.memory_latency, arch.memory_ports),
+            inbound=stats(2, arch.switch_delay),
+            outbound=stats(3, arch.switch_delay),
             method=method,
             iterations=sol.iterations,
             converged=sol.converged,

@@ -53,6 +53,9 @@ def multiclass_fixed_point(
     has_pop = pops_col > 0
     queueing = soa.queueing[:, None, :]
     fixed = s + extra  # residence at a non-queueing station
+    # an all-true mask makes its ``where`` the identity, and compaction only
+    # drops rows, so one check up front holds for the whole loop
+    all_pop, all_queueing = bool(has_pop.all()), bool(queueing.all())
     q_a, w_a, x_a, delta = q, w, x, residual
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -62,8 +65,10 @@ def multiclass_fixed_point(
             trajectory.append(int(active.size))
             # step 2: arrival-theorem waiting times
             q_total = q_a.sum(axis=1, keepdims=True)  # (b, 1, M)
-            own = np.where(has_pop, q_a / pops_col, 0.0)
-            w_a = np.where(queueing, s * (1.0 + (q_total - own)) + extra, fixed)
+            own = q_a / pops_col if all_pop else np.where(has_pop, q_a / pops_col, 0.0)
+            w_a = s * (1.0 + (q_total - own)) + extra
+            if not all_queueing:
+                w_a = np.where(queueing, w_a, fixed)
             # steps 3-4: throughputs and new queue lengths
             denom = (v * w_a).sum(axis=2)  # (b, C)
             x_a = np.where(denom > 0, pops / denom, 0.0)
@@ -122,31 +127,31 @@ def symmetric_fixed_point(
     pop_col = pop[:, None]
     q_a, w_a, x_a, delta = q[active], w[active], x[active], residual[active]
 
-    for it in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        trajectory.append(int(active.size))
-        seen = soa.pooled_totals(q_a) - q_a / pop_col  # arriving customer's view
-        w_a = s * (1.0 + seen) + extra
-        denom = (v * w_a).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if active.size == 0:
+                break
+            trajectory.append(int(active.size))
+            seen = soa.pooled_totals(q_a) - q_a / pop_col  # arriving customer's view
+            w_a = s * (1.0 + seen) + extra
+            denom = (v * w_a).sum(axis=1)
             x_a = np.where(denom > 0, pop / denom, 0.0)
-        q_new = x_a[:, None] * v * w_a
-        delta = np.abs(q_new - q_a).max(axis=1)
-        q_a = q_new
-        done = delta <= tol
-        if done.any():
-            out = active[done]
-            q[out], w[out], x[out] = q_a[done], w_a[done], x_a[done]
-            iterations[out] = it
-            residual[out] = delta[done]
-            converged[out] = True
-            keep = ~done
-            active = active[keep]
-            q_a, w_a, x_a, delta = q_a[keep], w_a[keep], x_a[keep], delta[keep]
-            v, s, extra = v[keep], s[keep], extra[keep]
-            pop = pop[keep]
-            pop_col = pop[:, None]
+            q_new = x_a[:, None] * v * w_a
+            delta = np.abs(q_new - q_a).max(axis=1)
+            q_a = q_new
+            done = delta <= tol
+            if done.any():
+                out = active[done]
+                q[out], w[out], x[out] = q_a[done], w_a[done], x_a[done]
+                iterations[out] = it
+                residual[out] = delta[done]
+                converged[out] = True
+                keep = ~done
+                active = active[keep]
+                q_a, w_a, x_a, delta = q_a[keep], w_a[keep], x_a[keep], delta[keep]
+                v, s, extra = v[keep], s[keep], extra[keep]
+                pop = pop[keep]
+                pop_col = pop[:, None]
     if active.size and trajectory:  # iteration cap: keep the last iterates
         q[active], w[active], x[active] = q_a, w_a, x_a
         iterations[active] = len(trajectory)

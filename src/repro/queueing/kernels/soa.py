@@ -137,10 +137,10 @@ class MulticlassSoA:
 class SymmetricSoA:
     """A lattice of symmetric-manifold points as ``(B, M)`` arrays.
 
-    ``station_type`` is the shared ``(M,)`` labelling; ``type_masks`` /
-    ``type_bools`` are its precomputed ``(T, M)`` one-hot forms, one row
-    per distinct label in :func:`numpy.unique` order, used for the pooled
-    per-type queue totals.
+    ``station_type`` is the shared ``(M,)`` labelling; ``type_masks`` is
+    its precomputed ``(T, M)`` one-hot form, one row per distinct label in
+    :func:`numpy.unique` order, and ``type_index`` maps each station to its
+    row.  Both serve the pooled per-type queue totals.
     """
 
     visits: np.ndarray  #: (B, M) float64
@@ -150,7 +150,7 @@ class SymmetricSoA:
     popf: np.ndarray  #: (B,) float64 view of the populations
     station_type: np.ndarray  #: (M,) shared labels
     type_masks: np.ndarray  #: (T, M) float64 one-hot per label
-    type_bools: np.ndarray  #: (T, M) bool per label
+    type_index: np.ndarray  #: (M,) int64 row of type_masks per station
 
     @property
     def batch(self) -> int:
@@ -198,8 +198,7 @@ class SymmetricSoA:
                 raise ValueError("server counts must be >= 1")
             extra = s * (srv - 1.0) / srv
             s = s / srv
-        labels = np.unique(types)
-        type_bools = np.stack([types == label for label in labels])
+        labels, type_index = np.unique(types, return_inverse=True)
         return cls(
             visits=v,
             service=s,
@@ -207,25 +206,24 @@ class SymmetricSoA:
             populations=pops,
             popf=pops.astype(np.float64),
             station_type=types,
-            type_masks=type_bools.astype(np.float64),
-            type_bools=type_bools,
+            type_masks=(labels[:, None] == types).astype(np.float64),
+            type_index=type_index.astype(np.int64),
         )
 
     def pooled_totals(self, queues: np.ndarray) -> np.ndarray:
         """Per-station all-class totals: the type-pooled class-0 queues.
 
-        Pooling multiplies by a full-width 0/1 mask and reduces the
-        C-contiguous product along the station axis.  Boolean fancy
-        indexing (``queues[:, mask]``) would yield a non-contiguous
-        intermediate whose reduction order -- and hence rounding -- depends
-        on the batch size; the contiguous form is bitwise independent of
-        the batch composition, which the backend-equality tests rely on.
+        One broadcast product ``queues[:, None, :] * type_masks`` builds a
+        fresh C-contiguous ``(B, T, M)`` array, its contiguous station axis
+        is reduced to ``(B, T)`` per-type totals, and ``type_index`` hands
+        each station its type's total.  Every row is summed over the same
+        ``M`` contiguous elements whatever the batch size, so the rounding
+        -- and hence the result -- is bitwise independent of the batch
+        composition, which the backend-equality tests rely on.  (Boolean
+        fancy indexing, ``queues[:, mask]``, would not be.)
         """
-        queues = np.ascontiguousarray(queues)
-        t_total = np.empty_like(queues)
-        for mask, sel in zip(self.type_masks, self.type_bools):
-            t_total[:, sel] = (queues * mask).sum(axis=1)[:, None]
-        return t_total
+        totals = (queues[:, None, :] * self.type_masks).sum(axis=2)
+        return totals.take(self.type_index, axis=1)
 
     def initial_queues(self) -> np.ndarray:
         """Spread each point's population over its visited stations.

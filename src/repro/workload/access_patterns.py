@@ -73,20 +73,23 @@ class AccessPattern(abc.ABC):
         w = self.class_weights(h)  # (hmax+1,)
         w = np.asarray(w, dtype=np.float64)
         w[0] = 0.0
-        # per-source distance-class counts
-        q = np.zeros((p, p))
-        for src in range(p):
-            counts = np.bincount(d[src], minlength=hmax + 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                class_mass = np.where(counts > 0, w, 0.0)
-            total = class_mass.sum()
-            if total <= 0:
-                raise ValueError("degenerate pattern: no reachable class")
-            per_module = np.where(
-                counts > 0, class_mass / total / np.maximum(counts, 1), 0.0
-            )
-            q[src] = per_module[d[src]]
-            q[src, src] = 0.0
+        # (P, hmax+1) per-source distance-class counts, one bincount over
+        # the distances offset by source row
+        n_cls = hmax + 1
+        counts = np.bincount(
+            (d + n_cls * np.arange(p)[:, None]).ravel(), minlength=p * n_cls
+        ).reshape(p, n_cls)
+        reached = counts > 0
+        class_mass = np.where(reached, w, 0.0)
+        # each row reduces over its contiguous class axis: the 1-D sum order
+        total = class_mass.sum(axis=1, keepdims=True)
+        if np.any(total <= 0):
+            raise ValueError("degenerate pattern: no reachable class")
+        per_module = np.where(
+            reached, class_mass / total / np.maximum(counts, 1), 0.0
+        )
+        q = np.take_along_axis(per_module, d, axis=1)
+        np.fill_diagonal(q, 0.0)
         return q
 
     def module_probabilities(self, topology, src: int) -> np.ndarray:

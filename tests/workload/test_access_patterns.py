@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.topology import Torus2D
-from repro.workload import GeometricPattern, UniformPattern, make_pattern
+from repro.topology import Mesh2D, Torus2D
+from repro.workload import (
+    AccessPattern,
+    GeometricPattern,
+    HotspotPattern,
+    UniformPattern,
+    make_pattern,
+)
 
 
 @pytest.fixture
@@ -98,3 +104,89 @@ class TestFactory:
     def test_unknown(self):
         with pytest.raises(ValueError):
             make_pattern("zipf")
+
+
+def _loop_matrix(pattern, topology):
+    """The per-source construction the vectorized base method replaced,
+    kept as the bitwise reference for it."""
+    d = topology.distance_matrix
+    p = topology.num_nodes
+    if p < 2:
+        raise ValueError("machine has no remote modules")
+    hmax = int(d.max())
+    w = np.asarray(
+        pattern.class_weights(np.arange(hmax + 1, dtype=np.float64)),
+        dtype=np.float64,
+    )
+    w[0] = 0.0
+    q = np.zeros((p, p))
+    for src in range(p):
+        counts = np.bincount(d[src], minlength=hmax + 1)
+        class_mass = np.where(counts > 0, w, 0.0)
+        total = class_mass.sum()
+        if total <= 0:
+            raise ValueError("degenerate pattern: no reachable class")
+        per_module = np.where(
+            counts > 0, class_mass / total / np.maximum(counts, 1), 0.0
+        )
+        q[src] = per_module[d[src]]
+        q[src, src] = 0.0
+    return q
+
+
+class _FarOnly(AccessPattern):
+    """Weight only on the machine's largest distance: a mesh's interior
+    sources reach no weighted class, so the pattern is degenerate there."""
+
+    def __init__(self, hmax):
+        self.hmax = hmax
+
+    def class_weights(self, h):
+        return (h == self.hmax).astype(np.float64)
+
+
+MACHINES = [Torus2D(k) for k in range(2, 9)] + [Mesh2D(k) for k in range(2, 9)]
+
+
+def _patterns(topology):
+    last = topology.num_nodes - 1
+    return [GeometricPattern(p_sw) for p_sw in (0.1, 0.5, 0.9, 1.0)] + [
+        UniformPattern(),
+        HotspotPattern(hot_node=0, hot_fraction=0.3),
+        HotspotPattern(hot_node=last, hot_fraction=0.6, base=GeometricPattern(0.9)),
+    ]
+
+
+class TestMatrixParity:
+    """The vectorized matrix is bitwise the per-source loop's."""
+
+    @pytest.mark.parametrize("topology", MACHINES, ids=repr)
+    def test_base_method_equals_loop(self, topology):
+        for pattern in _patterns(topology):
+            got = AccessPattern.module_probability_matrix(pattern, topology)
+            assert np.array_equal(got, _loop_matrix(pattern, topology)), pattern
+
+    @pytest.mark.parametrize("topology", MACHINES, ids=repr)
+    def test_public_matrix_equals_loop_based(self, topology, monkeypatch):
+        """Every pattern's public matrix (hotspot scaling included) is
+        unchanged when the base construction is the old loop."""
+        got = [p.module_probability_matrix(topology) for p in _patterns(topology)]
+        monkeypatch.setattr(
+            AccessPattern, "module_probability_matrix", _loop_matrix
+        )
+        want = [p.module_probability_matrix(topology) for p in _patterns(topology)]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("topology", [Torus2D(1), Mesh2D(1)], ids=repr)
+    def test_no_remote_modules_error(self, topology):
+        for build in (AccessPattern.module_probability_matrix, _loop_matrix):
+            with pytest.raises(ValueError, match="no remote modules"):
+                build(GeometricPattern(0.5), topology)
+
+    def test_degenerate_pattern_error(self):
+        mesh = Mesh2D(3)
+        pattern = _FarOnly(int(mesh.distance_matrix.max()))
+        for build in (AccessPattern.module_probability_matrix, _loop_matrix):
+            with pytest.raises(ValueError, match="degenerate pattern"):
+                build(pattern, mesh)
