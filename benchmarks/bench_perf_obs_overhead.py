@@ -31,6 +31,7 @@ import timeit
 import pytest
 
 from conftest import RESULTS_DIR, run_once
+import repro
 from repro import obs
 from repro.core import MMSModel
 from repro.obs.metrics import registry
@@ -75,23 +76,23 @@ def measure():
     span_calls = 0
     recorder_samples = 0
     for _ in range(3):
-        prev = obs.configure(trace=False)
+        prev = repro.configure(trace=False)
         try:
             t0 = time.perf_counter()
             solve_lattice(points)
             disabled_times.append(time.perf_counter() - t0)
         finally:
-            obs.configure(**prev)
-        prev = obs.configure(trace=True)
+            repro.configure(**prev)
+        prev = repro.configure(trace=True)
         try:
             t0 = time.perf_counter()
             solve_lattice(points)
             enabled_times.append(time.perf_counter() - t0)
             span_calls = len(obs.get_tracer().buffer)
         finally:
-            obs.configure(**prev)
+            repro.configure(**prev)
         # tracing off again, but a 10 Hz recorder sampling the registry
-        prev = obs.configure(trace=False)
+        prev = repro.configure(trace=False)
         try:
             with MetricsRecorder(interval_s=RECORDER_INTERVAL_S) as rec:
                 t0 = time.perf_counter()
@@ -99,12 +100,12 @@ def measure():
                 recorder_times.append(time.perf_counter() - t0)
             recorder_samples = max(recorder_samples, rec.samples_taken)
         finally:
-            obs.configure(**prev)
+            repro.configure(**prev)
     wall_enabled = min(enabled_times)
     wall_disabled = min(disabled_times)
     wall_recorder = min(recorder_times)
 
-    prev = obs.configure(trace=False)
+    prev = repro.configure(trace=False)
     try:
         # microcost of one disabled trace_span entry/exit
         n = 100_000
@@ -117,7 +118,7 @@ def measure():
             )
         ) / n
     finally:
-        obs.configure(**prev)
+        repro.configure(**prev)
 
     # microcost of one registry snapshot (the only per-tick recorder work);
     # at a 1/interval cadence the steady-state overhead fraction of *any*

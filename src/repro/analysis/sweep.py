@@ -9,7 +9,7 @@ an axis.
 Sweeps execute through the :mod:`repro.runner` subsystem: points are
 deduplicated by content-addressed key, optionally served from a persistent
 result cache, and solved in parallel when a runner with ``jobs > 1`` is
-passed (or configured globally via :func:`repro.runner.configure` /
+passed (or configured globally via :func:`repro.configure` /
 ``REPRO_SWEEP_JOBS`` / ``REPRO_CACHE_DIR``).  The default remains serial,
 in-process execution, which is the right call for the tiny sweeps unit
 tests and interactive exploration produce.
@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core import MMSPerformance
 from ..params import MMSParams
-from ..queueing.kernels import validate_kernel_name
 from ..runner import JobSpec, SweepRunner, default_runner
 from ..runner.executor import BACKENDS, Progress
 
@@ -66,7 +65,6 @@ def sweep(
     progress: Progress | None = None,
     runner: SweepRunner | None = None,
     backend: str | None = None,
-    kernel: str | None = None,
     fabric: str | None = None,
     workers: int = 2,
     scenario: str | None = None,
@@ -86,10 +84,7 @@ def sweep(
     overrides the runner's execution backend for this sweep
     (``"auto"``/``"batch"``/``"process"``/``"serial"``) -- same-shape
     lattices route through the batched AMVA kernel under ``"auto"`` and
-    ``"batch"``.  ``kernel`` overrides the solver kernel for this sweep
-    (``"auto"``/``"numpy"``/``"numba"``; kernels are bitwise-
-    interchangeable, see :mod:`repro.queueing.kernels`); ``None`` honours
-    :func:`repro.configure` and ``REPRO_SOLVE_KERNEL``.
+    ``"batch"``.
 
     ``fabric`` (a shared coordination directory) distributes the sweep
     across ``workers`` local worker processes -- plus any externally
@@ -126,8 +121,6 @@ def sweep(
     combos = list(product(*(axes[n] for n in names)))
     if not combos:
         return []
-    if kernel is not None:
-        validate_kernel_name(kernel)
     points = [
         scen.with_overrides(base, **dict(zip(names, combo))) for combo in combos
     ]
@@ -139,9 +132,7 @@ def sweep(
             raise ValueError("pass either runner= or fabric=, not both")
         from ..fabric import FabricScheduler
 
-        with FabricScheduler(
-            fabric, backend=backend or "auto", kernel=kernel
-        ) as scheduler:
+        with FabricScheduler(fabric, backend=backend or "auto") as scheduler:
             report = scheduler.run(specs, workers=workers, progress=progress)
     else:
         if runner is None:
@@ -152,8 +143,6 @@ def sweep(
                     f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
                 )
             runner.backend = backend
-        if kernel is not None:
-            runner.kernel = kernel
         report = runner.run(specs, progress=progress)
     records: list[dict[str, object]] = []
     for combo, point, result in zip(combos, points, report.results):

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from .core.metrics import MMSPerformance
 from .core.tolerance import ToleranceResult
 from .params import MMSParams, paper_defaults
+from .queueing.kernels import resolve_kernel
 from .serve import ServiceConfig, SolveService
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -162,9 +163,10 @@ def solve_points(
     tol:
         Fixed-point convergence tolerance.
     kernel:
-        Solver kernel: ``"auto"``, ``"numpy"`` or ``"numba"`` (kernels are
-        bitwise-interchangeable); default honours :func:`configure` and
-        ``REPRO_SOLVE_KERNEL``.
+        Solver kernel, checked and otherwise ignored: ``"auto"`` and
+        ``"numpy"`` name the one kernel, ``"numba"`` raises
+        :class:`~repro.queueing.kernels.KernelUnavailableError`; default
+        checks ``REPRO_SOLVE_KERNEL``.
     scenario:
         Workload/topology family (see :func:`scenarios`); default infers
         it from the first point's type, else honours :func:`configure`
@@ -174,8 +176,9 @@ def solve_points(
     internal telemetry is available through :mod:`repro.core.model` for
     callers who need it.)
     """
+    resolve_kernel(kernel)
     scen = _resolve_scenario(scenario, points[0] if points else None)
-    perfs, _telemetry = scen.solve_points(points, method=method, tol=tol, kernel=kernel)
+    perfs, _telemetry = scen.solve_points(points, method=method, tol=tol)
     return perfs
 
 
@@ -216,10 +219,8 @@ def sweep(
         or ``"serial"``; default honours :func:`configure` and
         ``REPRO_SWEEP_BACKEND``.
     kernel:
-        Solver-kernel override: ``"auto"``, ``"numpy"`` or ``"numba"``
-        (kernels are bitwise-interchangeable, so cached records never
-        depend on this); default honours :func:`configure` and
-        ``REPRO_SOLVE_KERNEL``.
+        Solver kernel, checked and otherwise ignored, as in
+        :func:`solve_points`.
     runner:
         A prebuilt :class:`repro.runner.SweepRunner` for full control of
         jobs/caching/journaling; default builds one from the global
@@ -247,6 +248,7 @@ def sweep(
     """
     from .analysis.sweep import sweep as _sweep
 
+    resolve_kernel(kernel)
     return _sweep(
         base,
         axes,
@@ -255,7 +257,6 @@ def sweep(
         progress=progress,
         runner=runner,
         backend=backend,
-        kernel=kernel,
         fabric=fabric,
         workers=workers,
         scenario=scenario,
@@ -386,10 +387,8 @@ def configure(
 ) -> dict[str, object]:
     """One config front door: runner, observability, and resilience knobs.
 
-    Composes the per-subsystem configuration that used to live behind
-    ``repro.runner.configure``, ``repro.obs.configure``, and
-    ``repro.resilience.configure`` (all now deprecated shims).  Only the
-    keywords actually passed change; everything else is untouched.
+    Composes the runner, tracing, and fault-injection configuration.  Only
+    the keywords actually passed change; everything else is untouched.
     Precedence per setting: environment variable < ``configure`` <
     explicit argument at a call site.
 
@@ -408,9 +407,10 @@ def configure(
         Default sweep execution backend -- ``"auto"``, ``"batch"``,
         ``"process"``, or ``"serial"`` (env: ``REPRO_SWEEP_BACKEND``).
     kernel:
-        Default solver kernel -- ``"auto"``, ``"numpy"`` or ``"numba"``;
-        ``None`` clears the default (env: ``REPRO_SOLVE_KERNEL``).
-        Kernels are bitwise-interchangeable.
+        Solver kernel, checked and not stored: ``"auto"``, ``"numpy"`` and
+        ``None`` are accepted, ``"numba"`` raises
+        :class:`~repro.queueing.kernels.KernelUnavailableError`.  There is
+        one kernel, so the previous value returned is always ``None``.
     scenario:
         Default workload/topology scenario -- any name in
         :func:`scenarios` (``"torus"``, ``"worksteal"``, ``"hier"``);
@@ -437,6 +437,8 @@ def configure(
     from .resilience import faults as _faults
     from .runner.config import _configure as _runner_configure
 
+    if kernel is not _UNSET and kernel is not None:
+        resolve_kernel(kernel)  # validate before anything changes
     previous: dict[str, object] = {}
     runner_settings = {
         name: value
@@ -452,9 +454,7 @@ def configure(
     if runner_settings:
         previous.update(_runner_configure(**runner_settings))
     if kernel is not _UNSET:
-        from .queueing.kernels import set_default_kernel
-
-        previous["kernel"] = set_default_kernel(kernel)
+        previous["kernel"] = None
     if scenario is not _UNSET:
         from .scenarios import set_default_scenario
 

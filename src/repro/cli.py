@@ -193,10 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--kernel",
         default=None,
-        metavar="{auto,numpy,numba}",
-        help="solver kernel for batched solves: 'numpy' is the reference, "
-        "'numba' the compiled (bitwise-identical) one, 'auto' picks numba "
-        "when available; default honours repro.configure/REPRO_SOLVE_KERNEL",
+        metavar="{auto,numpy}",
+        help="solver kernel: 'auto' and 'numpy' both name the one numpy "
+        "kernel, 'numba' is an error; default checks REPRO_SOLVE_KERNEL",
     )
     p_sweep.add_argument(
         "--cache-dir",
@@ -339,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--kernel",
         default=None,
-        metavar="{auto,numpy,numba}",
-        help="solver kernel for this worker's solves",
+        metavar="{auto,numpy}",
+        help="solver kernel, as for sweep",
     )
     p_worker.add_argument("--retries", type=int, default=1)
     p_worker.add_argument("--timeout", type=float, default=None)
@@ -508,9 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--kernel",
         default=None,
-        metavar="{auto,numpy,numba}",
-        help="solver kernel for batched flushes "
-        "(default honours repro.configure/REPRO_SOLVE_KERNEL)",
+        metavar="{auto,numpy}",
+        help="solver kernel, as for sweep",
     )
     p_serve.add_argument(
         "--series-interval",
@@ -620,12 +618,21 @@ def _parse_axes(specs: list[str]) -> dict[str, list[object]]:
     return axes
 
 
+def _check_kernel(kernel: str | None) -> None:
+    """``--kernel`` is checked and otherwise ignored: one kernel runs."""
+    from .queueing.kernels import resolve_kernel
+
+    try:
+        resolve_kernel(kernel)
+    except ValueError as exc:
+        raise ParamError(str(exc)) from None
+
+
 def _run_sweep(args: argparse.Namespace) -> int:
     import os
     from itertools import product
 
     from .analysis.sweep import _apply_measure
-    from .queueing.kernels import validate_kernel_name
     from .runner import JobSpec, SweepRunner, canonical_json
     from .runner.executor import BACKENDS
     from .scenarios import resolve_scenario
@@ -637,11 +644,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise ParamError(
             f"unknown backend {args.backend!r}; pick from {'/'.join(BACKENDS)}"
         )
-    if args.kernel is not None:
-        try:
-            validate_kernel_name(args.kernel)
-        except ValueError as exc:
-            raise ParamError(str(exc)) from None
+    _check_kernel(args.kernel)
     # unknown --scenario raises ScenarioUnavailableError (also exit 2)
     scen = resolve_scenario(args.scenario)
 
@@ -695,7 +698,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             lease_ttl=args.lease_ttl,
             lease_points=args.lease_points,
             backend=args.backend,
-            kernel=args.kernel,
             retries=args.retries,
             timeout=args.timeout,
             trace_workers=args.trace is not None,
@@ -716,12 +718,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 backend=args.backend,
                 journal=journal_path,
                 resume=resume,
-                kernel=args.kernel,
             )
         except ValueError as exc:
-            # constructor validation of --jobs/--retries/--backend/--kernel
-            # is user error (including an explicitly requested kernel that
-            # is not importable here)
+            # constructor validation of --jobs/--retries/--backend is user
+            # error
             raise ParamError(str(exc)) from None
         run_fn = runner.run
     names = list(axes)
@@ -824,6 +824,7 @@ def _run_worker(args: argparse.Namespace) -> int:
     from .fabric import FabricWorker
     from .scenarios import set_default_scenario
 
+    _check_kernel(args.kernel)
     if args.scenario is not None:
         # rejects unknown names up front (exit 2); leased payloads that
         # carry their own scenario are unaffected by this default
@@ -836,7 +837,6 @@ def _run_worker(args: argparse.Namespace) -> int:
         lease_ttl=args.lease_ttl,
         poll_s=args.poll,
         backend=args.backend,
-        kernel=args.kernel,
         retries=args.retries,
         timeout=args.timeout,
         max_leases=args.max_leases,

@@ -481,7 +481,6 @@ def solve_points(
     points: "Sequence[MMSParams]",
     method: str = "auto",
     tol: float = 1e-12,
-    kernel: str | None = None,
 ) -> tuple[list[MMSPerformance], "BatchTelemetry | None"]:
     """Solve a homogeneous lattice of parameter points with one batched AMVA.
 
@@ -494,10 +493,7 @@ def solve_points(
     :func:`~repro.queueing.mva_batch.solve_batch`; the scalar
     :meth:`MMSModel.solve` runs the same kernels with one point, so
     per-point results are bitwise-identical to it and the sweep backends
-    can be swapped without disturbing cached records.  ``kernel``
-    selects the solver kernel (``"auto"``/``"numpy"``/``"numba"``; kernels
-    are bitwise-interchangeable); ``None`` honours :func:`repro.configure`
-    and ``REPRO_SOLVE_KERNEL``.
+    can be swapped without disturbing cached records.
 
     Returns the performances in input order plus the shared
     :class:`~repro.queueing.solution.BatchTelemetry` (``None`` for an empty
@@ -511,13 +507,13 @@ def solve_points(
     if not points:
         return [], None
     with trace_span("solver.batch", points=len(points)) as sp:
-        perfs, batch = _solve_points_impl(points, method, tol, kernel)
+        perfs, batch = _solve_points_impl(points, method, tol)
         _record_batch_obs(sp, perfs[0].method if perfs else method, batch)
         return perfs, batch
 
 
 def _solve_points_impl(
-    points: "Sequence[MMSParams]", method: str, tol: float, kernel: str | None
+    points: "Sequence[MMSParams]", method: str, tol: float
 ) -> tuple[list[MMSPerformance], "BatchTelemetry | None"]:
     models = [MMSModel(p) for p in points]
     if method == "auto":
@@ -543,7 +539,6 @@ def _solve_points_impl(
             np.array([m.params.workload.num_threads for m in models]),
             tol=tol,
             servers=np.stack([a[3] for a in arrays]),
-            kernel=kernel,
         )
         perfs = [
             model._measures(arr[0], sol, method)
@@ -553,7 +548,7 @@ def _solve_points_impl(
 
     if method == "amva":
         networks = [m.build_network() for m in models]
-        qsols = solve_batch(networks, kernel=kernel)
+        qsols = solve_batch(networks)
         perfs = [
             model._network_measures(network, qsol, method)
             for model, network, qsol in zip(models, networks, qsols)

@@ -44,7 +44,6 @@ from typing import Callable, Sequence
 
 from ..obs import diff_snapshots, trace_span
 from ..obs import registry as obs_registry
-from ..queueing.kernels import resolve_kernel, validate_kernel_name
 from ..resilience.journal import sweep_signature
 from ..runner.executor import BACKENDS, RunReport
 from ..scenarios import payload_scenario
@@ -74,11 +73,8 @@ class FabricScheduler:
         Trials per lease (the worker-side batching grain).
     poll_s:
         Dispatch-loop cadence (reaping, respawn checks).
-    backend / kernel / retries / timeout:
-        Execution knobs forwarded to every spawned worker's inner runner
-        (``kernel`` selects the solver kernel; ``None`` leaves each worker
-        on its own :func:`repro.configure` / ``REPRO_SOLVE_KERNEL``
-        default).
+    backend / retries / timeout:
+        Execution knobs forwarded to every spawned worker's inner runner.
     lock_timeout_s:
         How long the exclusive store phases (probe, finalize) wait for
         live workers to release the shared store lock before giving up.
@@ -105,7 +101,6 @@ class FabricScheduler:
         retries: int = 1,
         timeout: float | None = None,
         lock_timeout_s: float = 10.0,
-        kernel: str | None = None,
         trace_workers: bool = False,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
@@ -113,11 +108,6 @@ class FabricScheduler:
             raise FabricError(
                 f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
             )
-        if kernel is not None:
-            try:
-                validate_kernel_name(kernel)
-            except ValueError as exc:
-                raise FabricError(str(exc)) from None
         if lease_points < 1:
             raise FabricError(f"lease_points must be >= 1, got {lease_points}")
         if max_attempts < 1:
@@ -128,7 +118,6 @@ class FabricScheduler:
         self.lease_points = lease_points
         self.poll_s = poll_s
         self.backend = backend
-        self.kernel = kernel
         self.retries = retries
         self.timeout = timeout
         self.lock_timeout_s = lock_timeout_s
@@ -242,8 +231,6 @@ class FabricScheduler:
         ]
         if self.timeout is not None:
             args += ["--timeout", str(self.timeout)]
-        if self.kernel is not None:
-            args += ["--kernel", self.kernel]
         if self.trace_workers:
             trace = worker_trace_path(self.fabric_dir, self._next_worker)
             trace.parent.mkdir(parents=True, exist_ok=True)
@@ -487,9 +474,6 @@ class FabricScheduler:
             jobs=workers if workers else 1,
             mode="fabric",
             backend=self.backend,
-            # the kernel every spawned worker was asked to run (each worker
-            # resolves "auto" locally; this is the scheduler's view)
-            kernel=resolve_kernel(self.kernel),
             total_points=len(specs),
             unique_points=len(unique),
             cache_hits=cache_hits,

@@ -32,7 +32,6 @@ from ..obs import registry as obs_registry
 from ..obs import trace_span
 from ..obs.trace import configure as obs_configure
 from ..obs.trace import get_tracer
-from ..queueing.kernels import validate_kernel_name
 from ..runner.executor import BACKENDS, SweepRunner
 from ..runner.spec import JobSpec
 from ..runner.store import ResultStore
@@ -164,7 +163,7 @@ class FabricWorker:
         returns its trials to ``pending``.
     poll_s:
         Idle sleep between empty claims.
-    backend / kernel / retries / timeout:
+    backend / retries / timeout:
         Passed to the inner :class:`SweepRunner` (per-lease execution).
     max_leases:
         Stop after this many leases (test seam / bounded shifts).
@@ -192,7 +191,6 @@ class FabricWorker:
         timeout: float | None = None,
         max_leases: int | None = None,
         wait_s: float = 30.0,
-        kernel: str | None = None,
         trace: str | None = None,
         heartbeat_max_failures: int = 3,
     ):
@@ -204,11 +202,6 @@ class FabricWorker:
             raise FabricError(
                 f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
             )
-        if kernel is not None:
-            try:
-                validate_kernel_name(kernel)
-            except ValueError as exc:
-                raise FabricError(str(exc)) from None
         self.fabric_dir = fabric_dir
         self.experiment_id = experiment_id
         self.worker_id = worker_id or worker_identity()
@@ -216,7 +209,6 @@ class FabricWorker:
         self.lease_ttl = lease_ttl
         self.poll_s = poll_s
         self.backend = backend
-        self.kernel = kernel
         self.retries = retries
         self.timeout = timeout
         self.max_leases = max_leases
@@ -268,7 +260,6 @@ class FabricWorker:
                 backend=self.backend,
                 retries=self.retries,
                 timeout=self.timeout,
-                kernel=self.kernel,
             )
             with trace_span(
                 "fabric.worker", worker=self.worker_id, experiment=experiment_id

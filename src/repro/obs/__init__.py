@@ -19,13 +19,14 @@ static HTML report).
 
 Quick start::
 
+    import repro
     from repro import obs
 
-    prev = obs.configure(trace="run.jsonl")   # or REPRO_TRACE=run.jsonl
+    prev = repro.configure(trace="run.jsonl")   # or REPRO_TRACE=run.jsonl
     with obs.trace_span("my.stage", points=176):
         ...
     obs.get_tracer().close()
-    obs.configure(**prev)
+    repro.configure(**prev)
 
     obs.registry().counter("my.counter").inc()
     obs.registry().snapshot()
@@ -62,20 +63,7 @@ from .trace import (
     trace_span,
     traced,
 )
-from .trace import configure as _trace_configure
 from .validate import TraceSummary, TraceValidationError, validate_trace
-
-
-def configure(trace=None, tracer=None):
-    """Deprecated: use :func:`repro.configure(trace=..., tracer=...)`.
-
-    Forwards to :func:`repro.obs.trace.configure` after a one-time
-    ``DeprecationWarning``; same arguments, same previous-values return.
-    """
-    from .._deprecation import warn_once
-
-    warn_once("repro.obs.configure", "repro.configure")
-    return _trace_configure(trace=trace, tracer=tracer)
 
 __all__ = [
     "Counter",
@@ -95,7 +83,6 @@ __all__ = [
     "Span",
     "Tracer",
     "NOOP_SPAN",
-    "configure",
     "enabled",
     "get_tracer",
     "trace_span",

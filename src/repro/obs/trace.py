@@ -12,9 +12,9 @@ below 2% on the 176-point Figure-4 lattice.  Enable tracing with the
 ``REPRO_TRACE`` environment variable (``1`` buffers in memory, any other
 value is a JSONL sink path) or programmatically::
 
-    prev = obs.configure(trace="out.jsonl")
+    prev = repro.configure(trace="out.jsonl")
     ...traced work...
-    obs.configure(**prev)
+    repro.configure(**prev)
 
 Cross-process merging: a pool worker cannot share the parent's contextvar,
 so the sweep runner passes ``tracer.context()`` -- ``{"trace_id",

@@ -1,14 +1,13 @@
-"""The pure-numpy reference kernels: compacted, vectorized fixed points.
+"""The solver kernel: compacted, vectorized Bard-Schweitzer fixed points.
 
-These are the arbiter of the numeric contract and the only numpy
-implementation of the Bard-Schweitzer iteration: the scalar entry points
+These loops are the only implementation of the paper's Figure-3
+iteration: the scalar entry points
 (:func:`~repro.queueing.mva_approx.bard_schweitzer`,
 :func:`~repro.queueing.mva_symmetric.solve_symmetric`) are ``B = 1``
 calls of these loops.  Per-point arithmetic uses only elementwise
 operations and reductions along the class/station axes, whose evaluation
 order does not depend on the batch size, so per-point results are bitwise
-independent of the batch composition.  Any other kernel (see
-:mod:`.compiled`) must reproduce these results bit for bit.
+independent of the batch composition.
 
 Convergence is **compacted**: the loop keeps the still-unconverged points'
 inputs and iterates as contiguous arrays, and a point whose queue-length
@@ -26,9 +25,6 @@ import numpy as np
 from .soa import FixedPointResult, MulticlassSoA, SymmetricSoA
 
 __all__ = ["multiclass_fixed_point", "symmetric_fixed_point"]
-
-#: selection-registry name of this kernel
-NAME = "numpy"
 
 
 def multiclass_fixed_point(

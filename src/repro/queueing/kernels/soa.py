@@ -1,9 +1,9 @@
-"""Structure-of-arrays packing for the batched fixed-point kernels.
+"""Structure-of-arrays packing for the batched fixed-point kernel.
 
-A solver kernel consumes *only* plain ``float64``/``int64``/``bool`` numpy
+The solver kernel consumes *only* plain ``float64``/``int64``/``bool`` numpy
 arrays -- no network objects, no Python callables -- so the same packed
-state can feed the vectorized numpy reference kernel, the compiled numba
-kernel, or travel to a pool worker through shared memory without pickling.
+state can feed the vectorized kernel (:mod:`.reference`) in process or
+travel to a pool worker through shared memory without pickling.
 The two containers here hold that packed state:
 
 * :class:`MulticlassSoA` -- a ``(B, C, M)`` stack of same-shape
@@ -13,7 +13,7 @@ The two containers here hold that packed state:
 
 Packing owns all input validation and the deterministic derived state
 (Seidmann multi-server split, the spread-population initial queues), so
-every kernel starts from bit-identical arrays; ``point()`` unpacks one
+every batch composition starts from bit-identical arrays; ``point()`` unpacks one
 batch slot back out (the round trip is property-tested bitwise).
 """
 
@@ -28,13 +28,12 @@ __all__ = [
     "FixedPointResult",
     "MulticlassSoA",
     "SymmetricSoA",
-    "trajectory_from_iterations",
 ]
 
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """What one batched fixed-point kernel computed, as raw arrays.
+    """What one batched fixed point computed, as raw arrays.
 
     ``q``/``w`` are final queue lengths and waiting times (batch-leading
     shape), ``x`` the throughputs, and the per-point ``iterations`` /
@@ -49,22 +48,6 @@ class FixedPointResult:
     residual: np.ndarray
     converged: np.ndarray
     trajectory: tuple[int, ...]
-
-
-def trajectory_from_iterations(iterations: np.ndarray) -> tuple[int, ...]:
-    """Reconstruct the active-set trajectory from per-point iteration counts.
-
-    A point that finished at iteration ``k`` was active for iterations
-    ``1..k`` (and a pre-converged point, ``k = 0``, never was), so the
-    active-set size when iteration ``it`` started is exactly the number of
-    points with ``iterations >= it``.  This lets kernels that iterate each
-    point independently report the identical trajectory the compacted
-    vectorized kernel records in-loop.
-    """
-    if iterations.size == 0:
-        return ()
-    top = int(iterations.max())
-    return tuple(int((iterations >= it).sum()) for it in range(1, top + 1))
 
 
 @dataclass(frozen=True)
@@ -114,7 +97,7 @@ class MulticlassSoA:
     def initial_queues(self) -> np.ndarray:
         """Figure 3, step 1 (per point): spread each class over its stations.
 
-        Returns a fresh array each call; kernels may mutate it freely.
+        Returns a fresh array each call; the kernel may mutate it freely.
         """
         visited = self.visits > 0
         n_visited = np.maximum(visited.sum(axis=2, keepdims=True), 1)
@@ -228,7 +211,7 @@ class SymmetricSoA:
     def initial_queues(self) -> np.ndarray:
         """Spread each point's population over its visited stations.
 
-        Returns a fresh array each call; kernels may mutate it freely.
+        Returns a fresh array each call; the kernel may mutate it freely.
         """
         visited = self.visits > 0
         n_visited = np.maximum(visited.sum(axis=1, keepdims=True), 1)

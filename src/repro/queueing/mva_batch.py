@@ -5,38 +5,30 @@ one network *shape* -- the same ``(C, M)`` class/station layout with
 different service times, visit ratios and populations.  Solving such a
 lattice point-by-point re-enters Python once per point; here the whole
 lattice is packed into structure-of-arrays state
-(:mod:`repro.queueing.kernels.soa`) and iterated by a solver kernel:
+(:mod:`repro.queueing.kernels.soa`) and iterated by the solver kernel
+(:mod:`repro.queueing.kernels.reference`): each iteration only the
+still-unconverged points are updated, and a point whose queue-length
+change drops below ``tol`` leaves the active set -- exactly like
+early-exit in batched inference.
 
-* ``"numpy"`` -- the compacted vectorized reference
-  (:mod:`repro.queueing.kernels.reference`); each iteration only the
-  still-unconverged points are updated, and a point whose queue-length
-  change drops below ``tol`` leaves the active set -- exactly like
-  early-exit in batched inference.
-* ``"numba"`` -- compiled per-point loops
-  (:mod:`repro.queueing.kernels.compiled`), **bitwise-equal** to the
-  reference by construction.
-* ``"auto"`` (the default) -- the compiled kernel when numba is available,
-  the reference otherwise.  Selection precedence: ``REPRO_SOLVE_KERNEL``
-  < :func:`repro.configure(kernel=...) <repro.configure>` < the explicit
-  ``kernel=`` argument here.
-
-The per-point iterate sequence is unchanged by compaction or kernel choice
-(points never interact), so each point converges in the same number of
-iterations, to the same values, as a scalar solve.
+The per-point iterate sequence is unchanged by compaction (points never
+interact), so each point converges in the same number of iterations, to
+the same values, as a scalar solve.
 
 Numerical contract
 ------------------
 Per-point arithmetic uses only elementwise operations and reductions along
 the class/station axes, whose evaluation order does not depend on the batch
 size.  Both entry points are therefore bitwise-identical across batch
-compositions (``B = 1`` vs. ``B = 176`` give the same floats) **and
-across kernels**, which is what lets the scalar solvers
+compositions (``B = 1`` vs. ``B = 176`` give the same floats), which is
+what lets the scalar solvers
 :func:`~repro.queueing.mva_symmetric.solve_symmetric` and
 :func:`~repro.queueing.mva_approx.bard_schweitzer` be ``B = 1`` calls
 here and lets serial, batched and process-pool sweep backends emit
-bitwise-identical records under any kernel.  The conformance suite
-(``tests/queueing/test_kernel_conformance.py``) pins the full backend x
-kernel matrix.
+bitwise-identical records.  The conformance suite
+(``tests/queueing/test_kernel_conformance.py``) pins every backend
+against one reference column, and ``tests/queueing/test_kernel_bits.py``
+pins the kernel's raw output bytes.
 """
 
 from __future__ import annotations
@@ -48,13 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..resilience.faults import InjectedFault, fault_point
-from .kernels import (
-    FixedPointResult,
-    MulticlassSoA,
-    SymmetricSoA,
-    kernel_impl,
-    resolve_kernel,
-)
+from .kernels import FixedPointResult, MulticlassSoA, SymmetricSoA, reference
 from .mva_symmetric import SymmetricSolution
 from .network import ClosedNetwork
 from .solution import (
@@ -71,16 +57,15 @@ __all__ = ["solve_batch", "solve_symmetric_batch"]
 def _run_kernel(
     label: str,
     pack: Callable[[], MulticlassSoA | SymmetricSoA],
-    fixed_point: str,
+    fixed_point: Callable[..., FixedPointResult],
     tol: float,
     max_iter: int,
     strict: bool,
-    kernel: str | None,
 ) -> tuple[MulticlassSoA | SymmetricSoA, FixedPointResult, BatchTelemetry] | None:
     """The shell both entry points share around one kernel call.
 
     Fires the ``solve.raise`` fault site, packs the inputs, runs the
-    selected kernel's ``fixed_point`` loop, warns about (or, under
+    kernel's ``fixed_point`` loop, warns about (or, under
     ``strict``, raises on) points that exhausted ``max_iter``, fires the
     ``solve.nan`` site that poisons one point's measures (chaos testing),
     and records the batch telemetry.  ``None`` for an empty batch.
@@ -92,8 +77,7 @@ def _run_kernel(
     b_total = soa.batch
     if b_total == 0:
         return None
-    kernel_name = resolve_kernel(kernel)
-    res = getattr(kernel_impl(kernel_name), fixed_point)(soa, tol, max_iter)
+    res = fixed_point(soa, tol, max_iter)
 
     converged = int(res.converged.sum())
     if converged < b_total:
@@ -120,7 +104,6 @@ def _run_kernel(
         max_residual=float(np.max(res.residual, initial=0.0)),
         active_trajectory=res.trajectory,
         wall_time_s=time.perf_counter() - t0,
-        kernel=kernel_name,
     )
     return soa, res, batch
 
@@ -149,7 +132,6 @@ def solve_batch(
     tol: float = 1e-10,
     max_iter: int = 100_000,
     strict: bool = False,
-    kernel: str | None = None,
 ) -> list[QNSolution]:
     """Solve a stack of same-shape closed networks with one batched AMVA.
 
@@ -167,10 +149,6 @@ def solve_batch(
         Raise :class:`ConvergenceError` if any point exhausts ``max_iter``;
         the default emits a :class:`ConvergenceWarning` and returns the last
         iterates (flagged ``converged=False``).
-    kernel:
-        Solver kernel: ``"auto"``, ``"numpy"`` or ``"numba"``; ``None``
-        (default) honours :func:`repro.configure` and
-        ``REPRO_SOLVE_KERNEL``.  Kernels are bitwise-interchangeable.
 
     Returns
     -------
@@ -183,8 +161,8 @@ def solve_batch(
     _soa, res, batch = _run_kernel(
         "solve_batch",
         lambda: MulticlassSoA.from_networks(networks),
-        "multiclass_fixed_point",
-        tol, max_iter, strict, kernel,
+        reference.multiclass_fixed_point,
+        tol, max_iter, strict,
     )
     return [
         QNSolution(
@@ -207,7 +185,6 @@ def solve_symmetric_batch(
     max_iter: int = 200_000,
     servers: np.ndarray | None = None,
     strict: bool = False,
-    kernel: str | None = None,
 ) -> list[SymmetricSolution]:
     """Batched Bard-Schweitzer on the symmetric (SPMD) manifold.
 
@@ -215,11 +192,10 @@ def solve_symmetric_batch(
     and ``service`` are ``(B, M)``, ``populations`` is ``(B,)`` integers and
     ``station_type`` is the shared ``(M,)`` labelling (identical for every
     point of one machine size).  ``servers`` is an optional ``(B, M)``
-    Seidmann multi-server array.  ``kernel`` selects the solver kernel as
-    in :func:`solve_batch`.
+    Seidmann multi-server array.
 
-    Per-point results are bitwise-identical to a single-point batch under
-    any kernel -- see the module docstring -- so the scalar
+    Per-point results are bitwise-identical to a single-point batch -- see
+    the module docstring -- so the scalar
     :func:`~repro.queueing.mva_symmetric.solve_symmetric` is this kernel
     with ``B = 1``.
     """
@@ -228,8 +204,8 @@ def solve_symmetric_batch(
         lambda: SymmetricSoA.pack(
             visits, service, station_type, populations, servers
         ),
-        "symmetric_fixed_point",
-        tol, max_iter, strict, kernel,
+        reference.symmetric_fixed_point,
+        tol, max_iter, strict,
     )
     if ran is None:
         return []

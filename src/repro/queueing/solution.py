@@ -49,7 +49,7 @@ class BatchTelemetry:
     active_trajectory: tuple[int, ...]
     #: wall-clock seconds for the whole batch
     wall_time_s: float
-    #: concrete solver kernel that ran ("numpy" or "numba")
+    #: solver kernel that ran (provenance; "numpy" is the only kernel)
     kernel: str = "numpy"
 
     @property

@@ -5,7 +5,7 @@ Three pieces, all wired through the runner stack (see
 
 * :mod:`~repro.resilience.faults` -- named fault sites with seeded
   per-site probability / fire-on-Nth-call schedules, activated via
-  ``REPRO_FAULT_PLAN`` or :func:`configure`, with a one-global-read no-op
+  ``REPRO_FAULT_PLAN`` or :func:`repro.configure`, with a one-global-read no-op
   fast path when disabled;
 * :mod:`~repro.resilience.journal` -- the append-only, checksummed sweep
   progress journal behind ``repro-mms sweep --resume``;
@@ -25,13 +25,13 @@ records with, and the overload-protection layer:
 
 Quick start::
 
-    from repro import resilience
+    import repro
 
-    prev = resilience.configure(
+    prev = repro.configure(
         fault_plan={"seed": 7, "sites": {"worker.crash": {"on_nth": 2}}}
     )
     ...run a sweep; it must still complete correctly...
-    resilience.configure(**prev)
+    repro.configure(**prev)
 """
 
 from .admission import (
@@ -51,21 +51,8 @@ from .faults import (
     fault_point,
     get_injector,
 )
-from .faults import configure as _faults_configure
 from .integrity import canonical_json, finite_measures, record_digest
 from .journal import JOURNAL_SCHEMA, JournalError, SweepJournal, sweep_signature
-
-
-def configure(fault_plan: object = None) -> dict[str, object]:
-    """Deprecated: use :func:`repro.configure(fault_plan=...)`.
-
-    Forwards to :func:`repro.resilience.faults.configure` after a one-time
-    ``DeprecationWarning``; same argument, same previous-values return.
-    """
-    from .._deprecation import warn_once
-
-    warn_once("repro.resilience.configure", "repro.configure")
-    return _faults_configure(fault_plan=fault_plan)
 
 __all__ = [
     "FAULT_SITES",
@@ -74,7 +61,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "fault_point",
-    "configure",
     "get_injector",
     "canonical_json",
     "record_digest",

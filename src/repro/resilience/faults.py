@@ -12,9 +12,9 @@ Activate a plan with the ``REPRO_FAULT_PLAN`` environment variable (inline
 JSON or a path to a JSON file -- the env route is how process-pool workers
 pick the plan up) or programmatically::
 
-    from repro import resilience
+    import repro
 
-    prev = resilience.configure(fault_plan={
+    prev = repro.configure(fault_plan={
         "seed": 7,
         "sites": {
             "worker.crash": {"on_nth": 2},
@@ -23,7 +23,7 @@ pick the plan up) or programmatically::
         },
     })
     ...chaos run...
-    resilience.configure(**prev)
+    repro.configure(**prev)
 
 Call counters and RNG streams are per process: a forked pool worker
 inherits the parent's injector state at fork time and counts its own calls

@@ -30,7 +30,7 @@ Quick start::
 or via the CLI: ``repro-mms sweep --axis num_threads=1,2,4,8 --jobs 4``.
 """
 
-from .config import configure, default_runner, effective_config, shared_store
+from .config import default_runner, effective_config, shared_store
 from .executor import RunReport, SweepRunner, solve_job
 from .manifest import RunManifest, latency_stats
 from .spec import SOLVER_VERSION, JobSpec, RunResult, canonical_json
@@ -48,7 +48,6 @@ __all__ = [
     "SweepRunner",
     "RunReport",
     "solve_job",
-    "configure",
     "default_runner",
     "effective_config",
     "shared_store",

@@ -1,14 +1,14 @@
 """Process-global runner defaults (and their environment overrides).
 
 :func:`repro.analysis.sweep.sweep` builds its runner from here when the
-caller does not pass one, so a single :func:`configure` call (or the
+caller does not pass one, so a single :func:`repro.configure` call (or the
 ``REPRO_CACHE_DIR`` / ``REPRO_SWEEP_JOBS`` / ``REPRO_SWEEP_BACKEND``
 environment variables) turns every sweep in the process cached, parallel
 and/or batched -- this is how the
 benchmark harness shares one persistent cache across all figure
 regenerations without threading a runner through every call site.
 
-Precedence per setting: explicit ``configure()`` value > environment
+Precedence per setting: explicit ``repro.configure()`` value > environment
 variable > built-in default (serial, uncached).
 """
 
@@ -19,7 +19,7 @@ import os
 from .executor import SweepRunner
 from .store import ResultStore
 
-__all__ = ["configure", "effective_config", "default_runner", "shared_store"]
+__all__ = ["effective_config", "default_runner", "shared_store"]
 
 _CONFIG: dict[str, object] = {
     "jobs": None,  # None -> $REPRO_SWEEP_JOBS -> 1
@@ -37,8 +37,7 @@ _STORES: dict[str, ResultStore] = {}
 def _configure(**settings: object) -> dict[str, object]:
     """Set process-global runner defaults; returns the previous values.
 
-    Internal implementation behind :func:`repro.configure`; the public
-    module-level :func:`configure` is a deprecated shim over this.
+    The implementation behind :func:`repro.configure`'s runner keywords.
     """
     unknown = set(settings) - set(_CONFIG)
     if unknown:
@@ -46,21 +45,6 @@ def _configure(**settings: object) -> dict[str, object]:
     previous = {k: _CONFIG[k] for k in settings}
     _CONFIG.update(settings)
     return previous
-
-
-def configure(**settings: object) -> dict[str, object]:
-    """Deprecated: use :func:`repro.configure` (same keywords, superset).
-
-    Forwards to the internal implementation after a one-time
-    ``DeprecationWarning``; returns the previous values like before.
-
-    >>> prev = configure(cache_dir="/tmp/mms-cache", jobs=4)  # doctest: +SKIP
-    >>> configure(**prev)  # restore                          # doctest: +SKIP
-    """
-    from .._deprecation import warn_once
-
-    warn_once("repro.runner.configure", "repro.configure")
-    return _configure(**settings)
 
 
 def effective_config() -> dict[str, object]:
@@ -74,17 +58,12 @@ def effective_config() -> dict[str, object]:
     backend = _CONFIG["backend"]
     if backend is None:
         backend = os.environ.get("REPRO_SWEEP_BACKEND") or "auto"
-    # the kernel default lives with the solver kernels (configure() routes
-    # it there), so direct queueing-layer calls honour it too
-    from ..queueing.kernels import default_kernel
-
     return {
         "jobs": int(jobs),
         "cache_dir": cache_dir,
         "timeout": _CONFIG["timeout"],
         "retries": _CONFIG["retries"],
         "backend": str(backend),
-        "kernel": default_kernel(),
     }
 
 
@@ -108,5 +87,4 @@ def default_runner() -> SweepRunner:
         timeout=cfg["timeout"],
         retries=cfg["retries"],
         backend=cfg["backend"],
-        kernel=cfg["kernel"],
     )

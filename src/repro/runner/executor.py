@@ -55,7 +55,6 @@ from ..obs import trace_span
 from ..obs.timeseries import get_recorder
 from ..obs.trace import configure
 from ..params import MMSParams
-from ..queueing.kernels import resolve_kernel
 from ..queueing.kernels.shm import SharedArrays, attach_arrays, write_arrays
 from ..queueing.mva_symmetric import SymmetricSolution
 from ..resilience.degrade import DegradationPolicy
@@ -162,7 +161,6 @@ def solve_group_shm(payload: Mapping[str, object]) -> dict[str, object]:
         arrays["populations"],
         tol=float(payload.get("tol", 1e-12)),
         servers=arrays["servers"],
-        kernel=payload.get("kernel"),
     )
     batch = sols[0].telemetry.batch if sols and sols[0].telemetry else None
     write_arrays(
@@ -300,11 +298,6 @@ class SweepRunner:
     min_batch_points:
         Smallest group of same-shape cache misses worth stacking into one
         batched solve; below it points run per-point.
-    kernel:
-        Solver kernel for every batched solve (``"auto"``/``"numpy"``/
-        ``"numba"``); ``None`` (default) honours :func:`repro.configure`
-        and ``REPRO_SOLVE_KERNEL``.  Validated eagerly, so an explicit but
-        unavailable kernel fails at construction, not mid-sweep.
     min_shm_points:
         Smallest symmetric same-shape group the process backend ships to a
         pool worker as one shared-memory batched solve (zero-pickle array
@@ -336,7 +329,6 @@ class SweepRunner:
         min_batch_points: int = 2,
         journal: str | os.PathLike | None = None,
         resume: bool = False,
-        kernel: str | None = None,
         min_shm_points: int = 1024,
     ):
         if jobs < 1:
@@ -351,10 +343,6 @@ class SweepRunner:
             raise ValueError(f"min_batch_points must be >= 2, got {min_batch_points}")
         if min_shm_points < 2:
             raise ValueError(f"min_shm_points must be >= 2, got {min_shm_points}")
-        if kernel is not None:
-            # fail fast: an unknown name or an explicitly requested but
-            # unavailable kernel should surface here, not mid-sweep
-            resolve_kernel(kernel)
         if store is None and cache_dir is not None:
             store = ResultStore(cache_dir)
         self.jobs = jobs
@@ -367,7 +355,6 @@ class SweepRunner:
         self.min_batch_points = min_batch_points
         self.journal = journal
         self.resume = resume
-        self.kernel = kernel
         self.min_shm_points = min_shm_points
 
     # ------------------------------------------------------------ public API
@@ -535,16 +522,11 @@ class SweepRunner:
             solved = len(resolved) - cache_hits - journal_hits - failures
             root.set(mode=mode, solved=solved)
 
-        try:
-            kernel_name = resolve_kernel(self.kernel)
-        except ValueError:  # pragma: no cover - env-forced kernel went missing
-            kernel_name = self.kernel or "auto"
         manifest = RunManifest(
             solver_version=SOLVER_VERSION,
             jobs=self.jobs,
             mode=mode,
             backend=self.backend,
-            kernel=kernel_name,
             solver_batches=solver_batches,
             total_points=len(specs),
             unique_points=len(unique),
@@ -710,7 +692,6 @@ class SweepRunner:
                 perfs, telemetry = scenario.solve_points(
                     [scenario.params_from_dict(p["params"]) for p in group],
                     method=method,
-                    kernel=self.kernel,
                 )
             except Exception as exc:  # noqa: BLE001 - degrade to the per-point loop
                 policy.degrade(
@@ -878,7 +859,6 @@ class SweepRunner:
                     "shm": inputs.meta,
                     "out": outs.meta,
                     "tol": 1e-12,
-                    "kernel": self.kernel,
                     "pooled": True,
                 },
             )
@@ -957,7 +937,6 @@ class SweepRunner:
             max_residual=float(batch["max_residual"]),
             active_trajectory=tuple(batch["active_trajectory"]),
             wall_time_s=float(batch["wall_time_s"]),
-            kernel=str(batch["kernel"]),
         )
         with trace_span("solver.batch", points=telemetry.batch_size) as sp:
             _record_batch_obs(sp, "symmetric", telemetry)

@@ -80,8 +80,8 @@ class RunManifest:
     store: dict[str, object] | None = None
     #: requested execution backend (``auto``/``batch``/``process``/``serial``)
     backend: str = "auto"
-    #: solver kernel the run resolved to (``numpy``/``numba``; kernels are
-    #: bitwise-interchangeable, so this is provenance, not a cache key)
+    #: solver kernel the run used (provenance, not a cache key; ``numpy``
+    #: is the only kernel)
     kernel: str = "numpy"
     #: per-batch solver telemetry (method, batch size, iterations, max
     #: residual, active-set trajectory, wall time) for every batched fixed

@@ -186,14 +186,12 @@ class Scenario(abc.ABC):
         points: Sequence[Any],
         method: str = "auto",
         tol: float = 1e-12,
-        kernel: str | None = None,
     ) -> tuple[list[Any], Any]:
         """Solve many points; returns ``(perfs, batch_telemetry | None)``.
 
         The default is a serial loop; scenarios with a vectorised batch
         path (and ``batchable_methods``) override this.
         """
-        del kernel
         return [self.solve(p, method=method, tol=tol) for p in points], None
 
     def group_key(self, params: Any) -> Any:

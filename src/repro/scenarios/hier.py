@@ -232,7 +232,6 @@ class HierScenario(Scenario):
         points: Sequence[HierParams],
         method: str = "auto",
         tol: float = 1e-12,
-        kernel: str | None = None,
     ) -> tuple[list[ScenarioPerformance], Any]:
         from ..queueing import solve_batch
 
@@ -240,7 +239,7 @@ class HierScenario(Scenario):
             return [], None
         canonical = self.canonical_method(points[0], method)
         networks = [build_network(p) for p in points]
-        sols = solve_batch(networks, tol=tol, kernel=kernel)
+        sols = solve_batch(networks, tol=tol)
         perfs = [
             self._performance(p, net, sol, canonical)
             for p, net, sol in zip(points, networks, sols)

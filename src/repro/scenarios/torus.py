@@ -76,11 +76,10 @@ class TorusScenario(Scenario):
         points: Sequence[MMSParams],
         method: str = "auto",
         tol: float = 1e-12,
-        kernel: str | None = None,
     ) -> tuple[list[Any], Any]:
         from ..core.model import solve_points as _solve_points
 
-        return _solve_points(points, method=method, tol=tol, kernel=kernel)
+        return _solve_points(points, method=method, tol=tol)
 
     def group_key(self, params: MMSParams) -> Any:
         return params.arch.num_processors

@@ -156,10 +156,10 @@ class ServiceConfig:
         Deadline applied to requests that do not carry their own; ``None``
         means no deadline.
     kernel:
-        Solver kernel for batched flushes (``"auto"``/``"numpy"``/
-        ``"numba"``; kernels are bitwise-interchangeable, see
-        :mod:`repro.queueing.kernels`); ``None`` honours
-        :func:`repro.configure` and ``REPRO_SOLVE_KERNEL``.
+        Solver kernel, checked at construction and otherwise ignored:
+        ``"auto"``/``"numpy"`` name the one kernel, ``"numba"`` raises
+        :class:`~repro.queueing.kernels.KernelUnavailableError`; ``None``
+        checks ``REPRO_SOLVE_KERNEL``.
     series_interval_s:
         Sampling cadence of the service's
         :class:`~repro.obs.timeseries.MetricsRecorder` (the ``/seriesz``
@@ -212,10 +212,9 @@ class ServiceConfig:
     scenario: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kernel is not None:
-            from ..queueing.kernels import validate_kernel_name
+        from ..queueing.kernels import resolve_kernel
 
-            validate_kernel_name(self.kernel)
+        resolve_kernel(self.kernel)
         if self.scenario is not None:
             from ..scenarios import validate_scenario_name
 
@@ -902,7 +901,6 @@ class SolveService:
                     perfs, _ = solve_points(
                         [r.params for r in requests],
                         method="symmetric",
-                        kernel=self.config.kernel,
                     )
                     source = "batched"
                     if self.breaker is not None:

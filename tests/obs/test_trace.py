@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import repro
 from repro import obs
 from repro.obs import NOOP_SPAN, Tracer, trace_span
 from repro.obs.trace import _tracer_from_env
@@ -13,14 +14,14 @@ from repro.obs.trace import _tracer_from_env
 def tracer():
     """A buffering tracer installed as the global one, restored after."""
     t = Tracer()
-    prev = obs.configure(tracer=t)
+    prev = repro.configure(tracer=t)
     yield t
-    obs.configure(**prev)
+    repro.configure(**prev)
 
 
 class TestNoopFastPath:
     def test_disabled_returns_shared_noop(self):
-        prev = obs.configure(trace=False)
+        prev = repro.configure(trace=False)
         try:
             assert not obs.enabled()
             sp = trace_span("anything", k=1)
@@ -28,10 +29,10 @@ class TestNoopFastPath:
             with sp as inner:
                 inner.set(ignored=True)  # must be harmless
         finally:
-            obs.configure(**prev)
+            repro.configure(**prev)
 
     def test_traced_decorator_passthrough_when_disabled(self):
-        prev = obs.configure(trace=False)
+        prev = repro.configure(trace=False)
         try:
 
             @obs.traced("t.fn")
@@ -40,7 +41,7 @@ class TestNoopFastPath:
 
             assert fn(1) == 2
         finally:
-            obs.configure(**prev)
+            repro.configure(**prev)
 
 
 class TestNesting:

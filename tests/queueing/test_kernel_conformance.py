@@ -1,17 +1,12 @@
-"""Cross-backend x cross-kernel conformance: one lattice, one answer.
+"""Cross-backend conformance: one lattice, one answer.
 
 The repo's numeric contract says the *execution plan* must never leak into
 the *data*: any sweep backend (in-process batch, process pool, shared-memory
-group handoff, per-point serial) combined with any solver kernel (the numpy
-reference or the numba-compiled one) must produce bitwise-identical records
-for the same points.  This suite pins that contract on the real Figure-4
+group handoff, per-point serial) must produce bitwise-identical records for
+the same points.  This suite pins that contract on the real Figure-4
 lattice (the 11 x 16 = 176-point ``(n_t, p_remote)`` grid of the paper) and
 on the Table 2-4 golden payloads, replacing the scattered per-backend
 equivalence tests that each checked one pair in isolation.
-
-Kernel cells that need numba skip (not fail) where it is not importable, so
-the matrix degrades to the reference column on a bare environment; CI runs
-the suite both with and without numba installed.
 """
 
 from __future__ import annotations
@@ -23,10 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro
 from repro.analysis import experiments
 from repro.params import paper_defaults
-from repro.queueing.kernels import available_kernels
 from repro.runner import JobSpec, SweepRunner, canonical_json
 
 GOLDEN_DIR = Path(__file__).parent.parent / "goldens"
@@ -37,31 +30,21 @@ P_REMOTES = experiments.DEFAULT_P_REMOTE
 
 #: backend name -> runner factory for one conformance cell
 RUNNERS = {
-    "auto": lambda kernel: SweepRunner(kernel=kernel),
-    "batch": lambda kernel: SweepRunner(backend="batch", kernel=kernel),
-    "serial": lambda kernel: SweepRunner(backend="serial", kernel=kernel),
-    "process": lambda kernel: SweepRunner(
-        backend="process", jobs=2, kernel=kernel
-    ),
+    "auto": lambda: SweepRunner(),
+    "batch": lambda: SweepRunner(backend="batch"),
+    "serial": lambda: SweepRunner(backend="serial"),
+    "process": lambda: SweepRunner(backend="process", jobs=2),
     # same pool, but the whole lattice rides to one worker through the
     # zero-pickle shared-memory group handoff
-    "process-shm": lambda kernel: SweepRunner(
-        backend="process", jobs=2, kernel=kernel, min_shm_points=8
+    "process-shm": lambda: SweepRunner(
+        backend="process", jobs=2, min_shm_points=8
     ),
 }
 
 
-def _kernel_param(kernel: str):
-    return pytest.param(
-        kernel,
-        marks=pytest.mark.skipif(
-            kernel not in available_kernels(),
-            reason=f"kernel {kernel!r} is not available in this environment",
-        ),
-    )
-
-
-KERNEL_PARAMS = [_kernel_param("numpy"), _kernel_param("numba")]
+def _ids(names) -> list[str]:
+    """Cell ids keep the name of the kernel the cells were pinned on."""
+    return [f"{name}-numpy" for name in names]
 
 
 def _lattice_specs() -> list[JobSpec]:
@@ -79,30 +62,25 @@ def _canonical_records(report) -> list[str]:
 
 @pytest.fixture(scope="module")
 def reference_records() -> list[str]:
-    """The reference column: in-process batch backend, numpy kernel."""
-    return _canonical_records(
-        SweepRunner(backend="batch", kernel="numpy").run(_lattice_specs())
-    )
+    """The reference column: the in-process batch backend."""
+    return _canonical_records(SweepRunner(backend="batch").run(_lattice_specs()))
 
 
 class TestLatticeMatrix:
-    @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
-    @pytest.mark.parametrize("backend", sorted(RUNNERS))
-    def test_cell_bitwise_matches_reference(
-        self, backend, kernel, reference_records
-    ):
-        report = RUNNERS[backend](kernel).run(_lattice_specs())
+    @pytest.mark.parametrize("backend", sorted(RUNNERS), ids=_ids(sorted(RUNNERS)))
+    def test_cell_bitwise_matches_reference(self, backend, reference_records):
+        report = RUNNERS[backend]().run(_lattice_specs())
         assert _canonical_records(report) == reference_records
 
     def test_shm_cell_actually_used_the_shm_handoff(self):
-        report = RUNNERS["process-shm"]("numpy").run(_lattice_specs())
+        report = RUNNERS["process-shm"]().run(_lattice_specs())
         assert report.manifest.mode == "parallel"
         assert report.manifest.degradations == []
         handoffs = [b.get("handoff") for b in report.manifest.solver_batches]
         assert "shm" in handoffs
 
     def test_batch_cell_actually_batched(self):
-        report = RUNNERS["batch"]("numpy").run(_lattice_specs())
+        report = RUNNERS["batch"]().run(_lattice_specs())
         assert report.manifest.mode == "batch"
         assert report.manifest.solver_batches
 
@@ -130,20 +108,15 @@ TABLES = {
 
 
 class TestTableGoldens:
-    """Tables 2-4 must stay bitwise on the committed goldens per kernel.
+    """Tables 2-4 must stay bitwise on the committed goldens.
 
     ``test_goldens.py`` pins the values at 1e-9 relative; here the bar is
-    exact equality, because the kernels promise bitwise interchangeability
-    -- a kernel that drifts within 1e-9 still breaks the cache contract.
+    exact equality -- a kernel change that drifts within 1e-9 still breaks
+    the cache contract.
     """
 
-    @pytest.mark.parametrize("kernel", KERNEL_PARAMS)
-    @pytest.mark.parametrize("table", sorted(TABLES))
-    def test_table_bitwise_matches_golden(self, table, kernel):
-        prev = repro.configure(kernel=kernel)
-        try:
-            data = _jsonable(TABLES[table]().data)
-        finally:
-            repro.configure(**prev)
+    @pytest.mark.parametrize("table", sorted(TABLES), ids=_ids(sorted(TABLES)))
+    def test_table_bitwise_matches_golden(self, table):
+        data = _jsonable(TABLES[table]().data)
         golden = json.loads((GOLDEN_DIR / f"{table}.json").read_text())
         assert data == golden

@@ -1,11 +1,10 @@
-"""Unit tests for the solver-kernel layer: parity, selection, trajectory.
+"""Unit tests for the solver-kernel layer: trajectory and selection.
 
-The compiled module's loops fall back to plain Python when numba is not
-importable (the ``njit`` shim is an identity decorator), so the
-compiled-vs-reference bitwise parity tests run *everywhere* -- they pin the
-algorithmic agreement of the two implementations independent of whether
-the jit actually fires.  Selection-precedence tests exercise the registry
-(env < configure < explicit) without needing numba either.
+The trajectory tests pin what the kernel records per iteration (the
+active-set size) against the per-point iteration counts it reports.  The
+selection tests pin the one validator every stable surface calls:
+``auto``/``numpy`` name the one kernel, ``numba`` is a typed error, and
+``REPRO_SOLVE_KERNEL`` is read when no name is passed.
 """
 
 from __future__ import annotations
@@ -17,23 +16,29 @@ import repro
 from repro.core.model import MMSModel
 from repro.params import paper_defaults
 from repro.queueing.kernels import (
-    KERNELS,
     KernelUnavailableError,
-    MulticlassSoA,
     SymmetricSoA,
-    available_kernels,
-    compiled,
-    default_kernel,
-    kernel_impl,
     reference,
     resolve_kernel,
-    set_default_kernel,
-    trajectory_from_iterations,
-    validate_kernel_name,
 )
+from repro.runner.config import effective_config
 
 TOL = 1e-12
 MAX_ITER = 100_000
+
+
+def trajectory_from_iterations(iterations: np.ndarray) -> tuple[int, ...]:
+    """The active-set trajectory implied by per-point iteration counts.
+
+    A point that finished at iteration ``k`` was active for iterations
+    ``1..k`` (a pre-converged point, ``k = 0``, never was), so the
+    active-set size when iteration ``it`` started is the number of points
+    with ``iterations >= it``.
+    """
+    if iterations.size == 0:
+        return ()
+    top = int(iterations.max())
+    return tuple(int((iterations >= it).sum()) for it in range(1, top + 1))
 
 
 def _lattice_soa() -> SymmetricSoA:
@@ -53,72 +58,36 @@ def _lattice_soa() -> SymmetricSoA:
     )
 
 
-def _multiclass_soa() -> MulticlassSoA:
-    networks = [
-        MMSModel(paper_defaults(k=2, num_threads=n, p_remote=p)).build_network()
-        for n in (2, 8)
-        for p in (0.1, 0.6)
-    ]
-    return MulticlassSoA.from_networks(networks)
-
-
-def _assert_bitwise(a, b) -> None:
-    for name in ("q", "w", "x", "iterations", "residual", "converged"):
-        np.testing.assert_array_equal(
-            getattr(a, name), getattr(b, name), err_msg=name
-        )
-    assert a.trajectory == b.trajectory
-
-
-class TestCompiledReferenceParity:
-    """The compiled loops must agree with the reference *bitwise*."""
-
-    def test_symmetric_bitwise(self):
-        soa = _lattice_soa()
-        _assert_bitwise(
-            reference.symmetric_fixed_point(soa, TOL, MAX_ITER),
-            compiled.symmetric_fixed_point(soa, TOL, MAX_ITER),
-        )
-
-    def test_multiclass_bitwise(self):
-        soa = _multiclass_soa()
-        _assert_bitwise(
-            reference.multiclass_fixed_point(soa, TOL, MAX_ITER),
-            compiled.multiclass_fixed_point(soa, TOL, MAX_ITER),
-        )
-
-    def test_symmetric_with_empty_point(self):
-        # a zero-population point is pre-converged in both kernels
-        soa = SymmetricSoA.pack(
-            visits=np.ones((3, 4)),
-            service=np.full((3, 4), 0.25),
-            station_type=np.array([0, 1, 1, 2]),
-            populations=np.array([0, 3, 7]),
-        )
-        ref = reference.symmetric_fixed_point(soa, TOL, MAX_ITER)
-        com = compiled.symmetric_fixed_point(soa, TOL, MAX_ITER)
-        _assert_bitwise(ref, com)
-        assert bool(ref.converged[0]) and int(ref.iterations[0]) == 0
-
-    def test_iteration_cap_flags_nonconverged_identically(self):
-        soa = _lattice_soa()
-        ref = reference.symmetric_fixed_point(soa, TOL, 3)
-        com = compiled.symmetric_fixed_point(soa, TOL, 3)
-        _assert_bitwise(ref, com)
-        assert not ref.converged.all()
+def _small_soa(populations) -> SymmetricSoA:
+    b = len(populations)
+    return SymmetricSoA.pack(
+        visits=np.ones((b, 4)),
+        service=np.full((b, 4), 0.25),
+        station_type=np.array([0, 1, 1, 2]),
+        populations=np.array(populations),
+    )
 
 
 class TestTrajectory:
     def test_empty(self):
-        assert trajectory_from_iterations(np.array([], dtype=np.int64)) == ()
+        res = reference.symmetric_fixed_point(_small_soa([]), TOL, MAX_ITER)
+        assert res.trajectory == ()
+        assert trajectory_from_iterations(res.iterations) == ()
 
     def test_all_preconverged(self):
-        assert trajectory_from_iterations(np.zeros(4, dtype=np.int64)) == ()
+        # zero-population points are solved before the first iteration
+        res = reference.symmetric_fixed_point(_small_soa([0, 0, 0, 0]), TOL, MAX_ITER)
+        assert res.trajectory == ()
+        assert res.converged.all() and not res.iterations.any()
 
     def test_mixed_counts(self):
-        # finished at iterations 0, 1, 3, 3: active sizes are 3, 2, 2
-        iters = np.array([0, 1, 3, 3], dtype=np.int64)
-        assert trajectory_from_iterations(iters) == (3, 2, 2)
+        # an empty point never enters the loop; the others leave it at
+        # different iterations, and each iteration counts who was left
+        res = reference.symmetric_fixed_point(_small_soa([0, 1, 3, 7]), TOL, MAX_ITER)
+        assert int(res.iterations[0]) == 0
+        assert res.trajectory[0] == 3
+        assert list(res.trajectory) == sorted(res.trajectory, reverse=True)
+        assert res.trajectory == trajectory_from_iterations(res.iterations)
 
     def test_matches_reference_in_loop_recording(self):
         soa = _lattice_soa()
@@ -128,58 +97,63 @@ class TestTrajectory:
 
 class TestSelection:
     def test_registry_names(self):
-        assert KERNELS == ("auto", "numpy", "numba")
-        assert "numpy" in available_kernels()
+        # the accepted names, and the one kernel they all resolve to
+        for name in ("auto", "numpy"):
+            assert resolve_kernel(name) == "numpy"
 
     def test_validate_unknown_name(self):
         with pytest.raises(ValueError, match=r"unknown kernel 'fortran'"):
-            validate_kernel_name("fortran")
-        with pytest.raises(ValueError, match=r"pick from auto/numpy/numba"):
-            validate_kernel_name("fortran")
+            resolve_kernel("fortran")
+        with pytest.raises(ValueError, match=r"pick from auto/numpy$"):
+            resolve_kernel("fortran")
 
-    def test_kernel_impl_mapping(self):
-        assert kernel_impl("numpy") is reference
-        assert kernel_impl("numba") is compiled
-        with pytest.raises(ValueError, match="no kernel implementation"):
-            kernel_impl("auto")
+    def test_auto_resolves_to_something_available(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVE_KERNEL", raising=False)
+        assert resolve_kernel("auto") == "numpy"
+        assert resolve_kernel(None) == "numpy"
+        assert resolve_kernel() == "numpy"
 
-    def test_auto_resolves_to_something_available(self):
-        assert resolve_kernel("auto") in available_kernels()
-        assert resolve_kernel(None) in available_kernels()
-
-    @pytest.mark.skipif(
-        "numba" in available_kernels(), reason="numba is available here"
-    )
     def test_explicit_numba_unavailable_raises(self):
-        with pytest.raises(KernelUnavailableError, match="install numba"):
+        with pytest.raises(KernelUnavailableError, match="numpy") as info:
             resolve_kernel("numba")
+        assert "auto" in str(info.value)
         # KernelUnavailableError is a ValueError: one except clause catches
         # both bad names and unavailable kernels at validation sites
         assert issubclass(KernelUnavailableError, ValueError)
 
-    def test_env_below_configure_below_explicit(self, monkeypatch):
+    def test_env_var_is_read_without_a_name(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVE_KERNEL", "numpy")
-        assert default_kernel() == "numpy"
-        prev = set_default_kernel("auto")
-        try:
-            assert default_kernel() == "auto"  # configure beats env
-            assert resolve_kernel("numpy") == "numpy"  # explicit beats both
-        finally:
-            set_default_kernel(prev)
-        assert default_kernel() == "numpy"  # env applies again
-
-    def test_set_default_returns_previous_and_validates(self):
-        prev = set_default_kernel("numpy")
-        try:
-            with pytest.raises(ValueError, match="unknown kernel"):
-                set_default_kernel("bogus")
-            assert default_kernel() == "numpy"  # failed set left it alone
-        finally:
-            set_default_kernel(prev)
+        assert resolve_kernel() == "numpy"
+        monkeypatch.setenv("REPRO_SOLVE_KERNEL", "")
+        assert resolve_kernel() == "numpy"
+        monkeypatch.setenv("REPRO_SOLVE_KERNEL", "numba")
+        with pytest.raises(KernelUnavailableError):
+            resolve_kernel()
+        monkeypatch.setenv("REPRO_SOLVE_KERNEL", "bogus")
+        with pytest.raises(ValueError, match="unknown kernel 'bogus'"):
+            resolve_kernel()
+        # an explicit name is checked on its own
+        assert resolve_kernel("auto") == "numpy"
 
     def test_configure_facade_roundtrip(self):
         prev = repro.configure(kernel="numpy")
-        try:
-            assert default_kernel() == "numpy"
-        finally:
-            repro.configure(**prev)
+        assert prev == {"kernel": None}
+        assert repro.configure(**prev) == {"kernel": None}
+        with pytest.raises(KernelUnavailableError):
+            repro.configure(kernel="numba")
+        jobs = effective_config()["jobs"]
+        with pytest.raises(ValueError, match="unknown kernel"):
+            repro.configure(kernel="bogus", jobs=jobs + 1)
+        assert effective_config()["jobs"] == jobs  # rejected before any change
+
+    def test_stable_surfaces_check_the_name(self):
+        points = [paper_defaults(num_threads=2)]
+        for kernel in ("auto", "numpy"):
+            assert repro.solve_points(points, kernel=kernel)
+        with pytest.raises(KernelUnavailableError):
+            repro.solve_points(points, kernel="numba")
+        with pytest.raises(KernelUnavailableError):
+            repro.sweep({"num_threads": [1, 2]}, kernel="numba")
+        with pytest.raises(KernelUnavailableError):
+            repro.ServiceConfig(kernel="numba")
+        assert repro.ServiceConfig(kernel="auto").kernel == "auto"

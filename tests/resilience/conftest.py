@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro import resilience
 
 
@@ -13,12 +14,12 @@ def fault_plan():
     installed = []
 
     def _install(plan):
-        installed.append(resilience.configure(fault_plan=plan))
+        installed.append(repro.configure(fault_plan=plan))
         return resilience.get_injector()
 
     yield _install
     for prev in reversed(installed):
-        resilience.configure(**prev)
+        repro.configure(**prev)
 
 
 @pytest.fixture(autouse=True)

@@ -4,10 +4,11 @@ import os
 
 import pytest
 
+import repro
 from repro.analysis.sweep import sweep
 from repro.params import paper_defaults
 from repro.runner import JobSpec, SweepRunner, canonical_json
-from repro.runner.config import configure, effective_config
+from repro.runner.config import effective_config
 
 
 def _specs(n_threads=(1, 2, 4), p_remotes=(0.1, 0.2)):
@@ -135,11 +136,11 @@ class TestConfiguration:
         assert effective_config()["backend"] == "auto"
 
     def test_configure_backend(self):
-        prev = configure(backend="batch")
+        prev = repro.configure(backend="batch")
         try:
             assert effective_config()["backend"] == "batch"
         finally:
-            configure(**prev)
+            repro.configure(**prev)
 
     def test_sweep_backend_kwarg(self):
         records = sweep(

@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+import repro
 from repro import obs
 from repro.params import paper_defaults
 from repro.runner import JobSpec, SweepRunner
@@ -27,12 +28,12 @@ def _specs(n, method="amva"):
 def traced(tmp_path):
     """Tracing into a tmp JSONL file for the duration of one test."""
     path = tmp_path / "trace.jsonl"
-    prev = obs.configure(trace=str(path))
+    prev = repro.configure(trace=str(path))
     yield path
     tracer = obs.get_tracer()
     if tracer is not None:
         tracer.close()
-    obs.configure(**prev)
+    repro.configure(**prev)
 
 
 class TestStages:

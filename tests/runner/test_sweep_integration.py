@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.analysis import grid, sweep
 from repro.params import paper_defaults
-from repro.runner import SweepRunner, configure, default_runner, effective_config
+from repro.runner import SweepRunner, default_runner, effective_config
+from repro.runner.config import _configure
 
 
 class TestMeasure:
@@ -82,17 +84,17 @@ class TestRunnerWiring:
             assert ra["perf"].summary() == rb["perf"].summary()
 
     def test_configure_round_trip(self):
-        prev = configure(jobs=3, retries=2)
+        prev = repro.configure(jobs=3, retries=2)
         try:
             cfg = effective_config()
             assert cfg["jobs"] == 3 and cfg["retries"] == 2
             assert default_runner().jobs == 3
         finally:
-            configure(**prev)
+            repro.configure(**prev)
 
     def test_configure_rejects_unknown(self):
         with pytest.raises(TypeError):
-            configure(warp_factor=9)
+            _configure(warp_factor=9)
 
     def test_env_defaults(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SWEEP_JOBS", "5")

@@ -201,22 +201,40 @@ class TestSweepSelectionErrors:
         assert rc == 2
         assert err.strip() == (
             "repro-mms: error: unknown kernel 'bogus'; "
-            "pick from auto/numpy/numba"
+            "pick from auto/numpy"
         )
         assert err.count("\n") <= 1
 
     def test_unavailable_kernel_is_one_clean_line(self, capsys):
-        from repro.queueing.kernels import available_kernels
-
-        if "numba" in available_kernels():
-            pytest.skip("numba is available here")
         rc = main(["sweep", "--axis", "num_threads=1,2", "--kernel", "numba"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(
-            "repro-mms: error: kernel 'numba' requested but numba is not"
-        )
+        assert err.startswith("repro-mms: error: kernel 'numba' is not available")
         assert "kernel='numpy'" in err
+        assert err.count("\n") <= 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--fabric", "{fabric}", "--kernel", "numba", "--wait", "0"],
+            ["serve", "--port", "0", "--kernel", "numba"],
+        ],
+        ids=["worker", "serve"],
+    )
+    def test_unavailable_kernel_rejected_by_worker_and_serve(
+        self, argv, tmp_path, capsys
+    ):
+        rc = main([a.format(fabric=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("repro-mms: error: kernel 'numba' is not available")
+        assert err.count("\n") <= 1
+
+    def test_env_kernel_checked_without_flag(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SOLVE_KERNEL", "numba")
+        rc = main(["sweep", "--axis", "num_threads=1,2"])
+        assert rc == 2
+        assert "kernel 'numba' is not available" in capsys.readouterr().err
 
     def test_valid_kernel_accepted(self, capsys):
         assert (

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro
 from repro import obs
 from repro.cli import main
 
@@ -11,7 +12,7 @@ from repro.cli import main
 @pytest.fixture(autouse=True)
 def _tracing_off_after():
     yield
-    obs.configure(trace=False)
+    repro.configure(trace=False)
 
 
 def _sweep_argv(tmp_path, *extra):

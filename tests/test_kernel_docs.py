@@ -1,12 +1,12 @@
-"""Docs/kernel drift pins: the written story must match the registry.
+"""Docs/kernel drift pins: the written story must match the code.
 
-The kernel selection surface is documented in three places -- the
+The one-kernel story is documented in three places -- the
 ``repro.configure`` table in docs/API.md, the backend/kernel section of the
-README, and THEORY.md §8 -- and the degradation chain (now including the
-``shm`` handoff) in docs/RESILIENCE.md.  These tests parse the actual
-registry constants back out of the prose so renaming a kernel, adding one,
-or reordering the chain fails loudly here instead of silently rotting the
-docs.
+README, and THEORY.md §8 -- and the degradation chain (including the
+``shm`` handoff) in docs/RESILIENCE.md.  These tests check the accepted
+kernel names, the env var and the kernel modules against the prose, so
+adding a kernel back, renaming a module, or reordering the chain fails
+loudly here instead of silently rotting the docs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import re
 from pathlib import Path
 
 from repro.queueing import kernels
-from repro.queueing.kernels import KERNELS
 from repro.resilience.degrade import DEGRADATION_CHAIN
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +22,10 @@ API = ROOT / "docs" / "API.md"
 README = ROOT / "README.md"
 THEORY = ROOT / "docs" / "THEORY.md"
 RESILIENCE = ROOT / "docs" / "RESILIENCE.md"
+
+#: the names the stable surfaces accept (tests/queueing/test_kernels.py
+#: pins that both resolve to the one kernel)
+ACCEPTED = ("auto", "numpy")
 
 
 class TestApiTable:
@@ -38,8 +41,10 @@ class TestApiTable:
         )
         assert row is not None, "docs/API.md lost the `kernel` configure row"
         assert "`REPRO_SOLVE_KERNEL`" in row
-        for name in KERNELS:
+        for name in ACCEPTED:
             assert f"`{name}`" in row, f"kernel {name!r} missing from the row"
+        # numba is documented as the error it is
+        assert "`numba` raises `KernelUnavailableError`" in row
 
     def test_env_var_matches_registry(self):
         # the module-private constant is the single source of the env name
@@ -52,8 +57,9 @@ class TestReadme:
         text = README.read_text(encoding="utf-8")
         assert "`--kernel`" in text
         assert "REPRO_SOLVE_KERNEL" in text
-        for name in KERNELS:
+        for name in ACCEPTED:
             assert f"`{name}`" in text
+        assert "`numba` is an error" in text
 
     def test_conformance_suite_referenced(self):
         assert (
@@ -72,20 +78,22 @@ class TestTheory:
     def test_section8_names_real_modules(self):
         text = THEORY.read_text(encoding="utf-8")
         assert "repro.queueing.kernels" in text
-        for mod in ("soa", "reference", "compiled", "shm"):
-            assert (
-                ROOT / "src" / "repro" / "queueing" / "kernels" / f"{mod}.py"
-            ).is_file()
-        assert "kernels.reference" in text and "kernels.compiled" in text
-        assert "kernels.shm" in text
+        kernel_dir = ROOT / "src" / "repro" / "queueing" / "kernels"
+        for mod in ("soa", "reference", "shm"):
+            assert (kernel_dir / f"{mod}.py").is_file()
+            assert f"kernels.{mod}" in text
+        assert sorted(p.stem for p in kernel_dir.glob("*.py")) == [
+            "__init__", "reference", "shm", "soa"
+        ], "a kernel module was added or removed; update THEORY.md §8"
 
-    def test_precedence_statement_present(self):
+    def test_one_kernel_statement_present(self):
         text = THEORY.read_text(encoding="utf-8")
         assert re.search(
-            r"REPRO_SOLVE_KERNEL.*?<.*?configure\(kernel=.*?<.*?kernel=",
+            r"`kernels\.reference`.*?is the\s+only kernel",
             text,
             re.DOTALL,
-        ), "THEORY.md lost the kernel-selection precedence statement"
+        ), "THEORY.md lost the one-kernel statement"
+        assert "precedence `REPRO_SOLVE_KERNEL`" not in text
 
 
 class TestResilienceChain:

@@ -1,10 +1,9 @@
-"""The api_redesign contract: surface, docstrings, shims, configure.
+"""The facade contract: surface, docstrings, configure.
 
-Pins the facade introduced in ISSUE 5: ``repro.__all__`` matches the
-documented surface (and docs/API.md names every facade function), every
-facade function's docstring describes each of its parameters, each
-deprecated shim warns exactly once per process and forwards correctly,
-and ``repro.configure`` composes/restores all three subsystems.
+Pins the public facade: ``repro.__all__`` matches the documented surface
+(and docs/API.md names every facade function), every facade function's
+docstring describes each of its parameters, and ``repro.configure`` is the
+one config door that composes/restores all three subsystems.
 """
 
 import inspect
@@ -14,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import _deprecation, api
+from repro import api
 
 DOCS_API = Path(__file__).resolve().parent.parent / "docs" / "API.md"
 
@@ -58,16 +57,6 @@ FACADE_FUNCTIONS = [
     "configure",
     "scenarios",
 ]
-
-
-@pytest.fixture()
-def fresh_warnings():
-    """Reset the warn-once registry so each test observes first warnings."""
-    saved = set(_deprecation._WARNED)
-    _deprecation._WARNED.clear()
-    yield
-    _deprecation._WARNED.clear()
-    _deprecation._WARNED.update(saved)
 
 
 class TestSurface:
@@ -116,70 +105,6 @@ class TestDocstrings:
             assert label in doc, f"{name}: parameter {param!r} undocumented"
 
 
-class TestDeprecatedShims:
-    def test_runner_configure_warns_once_and_forwards(self, fresh_warnings):
-        from repro import runner
-        from repro.runner.config import effective_config
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = runner.configure(jobs=7)
-            try:
-                assert effective_config()["jobs"] == 7  # forwarded
-                runner.configure(jobs=3)  # second call: no second warning
-            finally:
-                runner.configure(**prev)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.runner.configure" in str(dep[0].message)
-        assert "repro.configure" in str(dep[0].message)
-
-    def test_obs_configure_warns_once_and_forwards(self, fresh_warnings):
-        from repro import obs
-        from repro.obs.trace import Tracer, get_tracer
-
-        tracer = Tracer()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = obs.configure(tracer=tracer)
-            try:
-                assert get_tracer() is tracer  # forwarded
-                obs.configure(trace=False)
-            finally:
-                obs.configure(**prev)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.obs.configure" in str(dep[0].message)
-
-    def test_resilience_configure_warns_once_and_forwards(self, fresh_warnings):
-        from repro import resilience
-        from repro.resilience.faults import get_injector
-
-        plan = {"seed": 1, "sites": {"solve.delay": {"on_nth": [99]}}}
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = resilience.configure(fault_plan=plan)
-            try:
-                assert get_injector() is not None  # forwarded
-                resilience.configure(fault_plan=None)
-            finally:
-                resilience.configure(**prev)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.resilience.configure" in str(dep[0].message)
-
-    def test_facade_configure_never_warns(self, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            prev = repro.configure(jobs=2, trace=False, fault_plan=None)
-            repro.configure(
-                **{k: v for k, v in prev.items() if k != "tracer"}
-            )
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-
 class TestConfigure:
     def test_composes_all_three_subsystems(self):
         from repro.obs.trace import get_tracer
@@ -219,3 +144,20 @@ class TestConfigure:
     def test_unknown_keyword_rejected(self):
         with pytest.raises(TypeError):
             repro.configure(warp_speed=9)
+
+    def test_facade_configure_never_warns(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prev = repro.configure(jobs=2, trace=False, fault_plan=None)
+            repro.configure(
+                **{k: v for k, v in prev.items() if k != "tracer"}
+            )
+        assert not [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+
+    def test_subsystems_have_no_configure_of_their_own(self):
+        from repro import obs, resilience, runner
+
+        for module in (obs, resilience, runner):
+            assert not hasattr(module, "configure"), module.__name__
