@@ -26,7 +26,7 @@ import numpy as np
 from ..core import MMSPerformance
 from ..params import MMSParams
 from ..runner import JobSpec, SweepRunner, default_runner
-from ..runner.executor import BACKENDS, Progress
+from ..runner.executor import Progress, validate_backend
 
 __all__ = ["sweep", "grid", "GridResult"]
 
@@ -138,11 +138,7 @@ def sweep(
         if runner is None:
             runner = default_runner()
         if backend is not None:
-            if backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
-                )
-            runner.backend = backend
+            runner.backend = validate_backend(backend)
         report = runner.run(specs, progress=progress)
     records: list[dict[str, object]] = []
     for combo, point, result in zip(combos, points, report.results):

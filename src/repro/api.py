@@ -424,7 +424,12 @@ def configure(
         (overrides ``trace``).
     fault_plan:
         Fault-injection plan -- a dict, inline JSON, a JSON file path, or
-        ``None`` to disable (env: ``REPRO_FAULT_PLAN``).
+        ``None`` to disable (env: ``REPRO_FAULT_PLAN``).  A plan that
+        cannot be read or parsed raises ``ValueError("fault_plan: ...")``.
+
+    Every keyword is checked before any setting changes, so a rejected
+    call (a bad ``backend``, ``jobs=0``, an unknown ``scenario``, a
+    malformed ``fault_plan``) leaves the configuration as it was.
 
     Returns the previous values of every setting passed, so
     ``repro.configure(**prev)`` restores them:
@@ -435,11 +440,10 @@ def configure(
     """
     from .obs import trace as _obs_trace
     from .resilience import faults as _faults
+    from .runner.config import _check as _runner_check
     from .runner.config import _configure as _runner_configure
+    from .scenarios import set_default_scenario, validate_scenario_name
 
-    if kernel is not _UNSET and kernel is not None:
-        resolve_kernel(kernel)  # validate before anything changes
-    previous: dict[str, object] = {}
     runner_settings = {
         name: value
         for name, value in (
@@ -451,20 +455,32 @@ def configure(
         )
         if value is not _UNSET
     }
-    if runner_settings:
-        previous.update(_runner_configure(**runner_settings))
-    if kernel is not _UNSET:
-        previous["kernel"] = None
-    if scenario is not _UNSET:
-        from .scenarios import set_default_scenario
+    # check everything before anything changes
+    if kernel is not _UNSET and kernel is not None:
+        resolve_kernel(kernel)
+    _runner_check(runner_settings)
+    if scenario is not _UNSET and scenario is not None:
+        validate_scenario_name(scenario)
+    if fault_plan is not _UNSET:
+        try:
+            fault_plan = _faults._coerce_plan(fault_plan)
+        except (OSError, TypeError, ValueError) as exc:
+            raise ValueError(f"fault_plan: {exc}") from None
 
-        previous["scenario"] = set_default_scenario(scenario)
+    previous: dict[str, object] = {}
     if trace is not _UNSET or tracer is not _UNSET:
+        # first: opening a trace file is the one step that can still fail
         prev = _obs_trace.configure(
             trace=None if trace is _UNSET else trace,
             tracer=None if tracer is _UNSET else tracer,
         )
         previous["tracer"] = prev["tracer"]
+    if runner_settings:
+        previous.update(_runner_configure(**runner_settings))
+    if kernel is not _UNSET:
+        previous["kernel"] = None
+    if scenario is not _UNSET:
+        previous["scenario"] = set_default_scenario(scenario)
     if fault_plan is not _UNSET:
         previous.update(_faults.configure(fault_plan=fault_plan))
     return previous

@@ -153,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cartesian-product sweep over any model parameters, "
         "executed by the runner subsystem: points are deduplicated by "
         "content-addressed key, served from a persistent cache when one is "
-        "configured, and solved on a process pool with --jobs > 1.",
+        "configured, and solved batch first: same-shape points as one "
+        "batched fixed point, only what cannot batch on a process pool "
+        "with --jobs > 1.",
     )
     _add_point_args(
         p_sweep,
@@ -180,15 +182,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis p_remote=0.1:0.8:8",
     )
     p_sweep.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (1 = serial)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for points that cannot batch (1 = in-process)",
     )
     p_sweep.add_argument(
         "--backend",
         default="auto",
         metavar="{auto,batch,process,serial}",
         help="execution backend: 'batch' stacks same-shape points into one "
-        "batched AMVA fixed point, 'process' uses a worker pool, 'serial' "
-        "solves point by point; 'auto' (default) picks for you",
+        "batched AMVA fixed point, 'process' sends every point to a worker "
+        "pool, 'serial' solves point by point; 'auto' (default) batches "
+        "first and pools only what cannot batch (every point with --timeout "
+        "and --jobs > 1)",
     )
     p_sweep.add_argument(
         "--kernel",
@@ -323,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll", type=float, default=0.2, help="idle seconds between claims"
     )
     p_worker.add_argument(
-        "--backend",
-        choices=("auto", "batch", "process", "serial"),
-        default="auto",
+        "--backend", default="auto", metavar="{auto,batch,process,serial}"
     )
     p_worker.add_argument(
         "--scenario",
@@ -618,12 +623,16 @@ def _parse_axes(specs: list[str]) -> dict[str, list[object]]:
     return axes
 
 
-def _check_kernel(kernel: str | None) -> None:
-    """``--kernel`` is checked and otherwise ignored: one kernel runs."""
+def _check_execution(args: argparse.Namespace) -> None:
+    """Reject a bad ``--backend`` or ``--kernel`` up front: one clean line
+    that enumerates the valid choices (exit 2, the CLI error contract).
+    ``--kernel`` is checked and otherwise ignored: one kernel runs."""
     from .queueing.kernels import resolve_kernel
+    from .runner.executor import validate_backend
 
     try:
-        resolve_kernel(kernel)
+        validate_backend(args.backend)
+        resolve_kernel(args.kernel)
     except ValueError as exc:
         raise ParamError(str(exc)) from None
 
@@ -634,17 +643,10 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     from .analysis.sweep import _apply_measure
     from .runner import JobSpec, SweepRunner, canonical_json
-    from .runner.executor import BACKENDS
     from .scenarios import resolve_scenario
 
-    # validate the execution knobs up front -- both the runner and the
-    # fabric paths must reject bad names with one clean line that
-    # enumerates the valid choices (exit 2, the CLI error contract)
-    if args.backend not in BACKENDS:
-        raise ParamError(
-            f"unknown backend {args.backend!r}; pick from {'/'.join(BACKENDS)}"
-        )
-    _check_kernel(args.kernel)
+    # both the runner and the fabric paths take these knobs
+    _check_execution(args)
     # unknown --scenario raises ScenarioUnavailableError (also exit 2)
     scen = resolve_scenario(args.scenario)
 
@@ -824,7 +826,7 @@ def _run_worker(args: argparse.Namespace) -> int:
     from .fabric import FabricWorker
     from .scenarios import set_default_scenario
 
-    _check_kernel(args.kernel)
+    _check_execution(args)
     if args.scenario is not None:
         # rejects unknown names up front (exit 2); leased payloads that
         # carry their own scenario are unaffected by this default

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 from ..obs import diff_snapshots, trace_span
 from ..obs import registry as obs_registry
 from ..resilience.journal import sweep_signature
-from ..runner.executor import BACKENDS, RunReport
+from ..runner.executor import RunReport, validate_backend
 from ..scenarios import payload_scenario
 from ..runner.manifest import RunManifest, latency_stats
 from ..runner.spec import SOLVER_VERSION, JobSpec, RunResult
@@ -104,10 +104,7 @@ class FabricScheduler:
         trace_workers: bool = False,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ):
-        if backend not in BACKENDS:
-            raise FabricError(
-                f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
-            )
+        validate_backend(backend)
         if lease_points < 1:
             raise FabricError(f"lease_points must be >= 1, got {lease_points}")
         if max_attempts < 1:

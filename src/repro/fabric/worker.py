@@ -32,7 +32,7 @@ from ..obs import registry as obs_registry
 from ..obs import trace_span
 from ..obs.trace import configure as obs_configure
 from ..obs.trace import get_tracer
-from ..runner.executor import BACKENDS, SweepRunner
+from ..runner.executor import SweepRunner, validate_backend
 from ..runner.spec import JobSpec
 from ..runner.store import ResultStore
 from .db import ExperimentDB, FabricError, worker_identity
@@ -198,10 +198,7 @@ class FabricWorker:
             raise FabricError(f"lease_points must be >= 1, got {lease_points}")
         if lease_ttl <= 0:
             raise FabricError(f"lease_ttl must be > 0, got {lease_ttl}")
-        if backend not in BACKENDS:
-            raise FabricError(
-                f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
-            )
+        validate_backend(backend)
         self.fabric_dir = fabric_dir
         self.experiment_id = experiment_id
         self.worker_id = worker_id or worker_identity()

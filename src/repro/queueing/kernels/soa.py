@@ -1,10 +1,8 @@
 """Structure-of-arrays packing for the batched fixed-point kernel.
 
 The solver kernel consumes *only* plain ``float64``/``int64``/``bool`` numpy
-arrays -- no network objects, no Python callables -- so the same packed
-state can feed the vectorized kernel (:mod:`.reference`) in process or
-travel to a pool worker through shared memory without pickling.
-The two containers here hold that packed state:
+arrays -- no network objects, no Python callables.  The two containers
+here hold that packed state for the vectorized kernel (:mod:`.reference`):
 
 * :class:`MulticlassSoA` -- a ``(B, C, M)`` stack of same-shape
   multi-class closed networks (the paper's Figure-3 AMVA inputs);

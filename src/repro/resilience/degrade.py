@@ -1,11 +1,12 @@
 """Explicit backend-degradation policy for the sweep runner.
 
-The runner's fallback chain -- batched kernel, process pool, per-point
-serial -- used to be a set of ad-hoc flags (``mode == "serial-fallback"``,
-a silently-swallowed batch exception).  :class:`DegradationPolicy` makes
-every step down the chain an explicit, validated event: the executor calls
-:meth:`DegradationPolicy.degrade` with where it came from, where it landed,
-why, and how many points were affected, and the policy
+The runner's fallback chain -- in-process batched kernel, process pool,
+per-point serial -- used to be a set of ad-hoc flags
+(``mode == "serial-fallback"``, a silently-swallowed batch exception).
+:class:`DegradationPolicy` makes every step down the chain an explicit,
+validated event: the executor calls :meth:`DegradationPolicy.degrade` with
+where it came from, where it landed, why, and how many points were
+affected, and the policy
 
 * records a structured :class:`Degradation` entry (surfaced as
   ``degradations[]`` in the :class:`~repro.runner.manifest.RunManifest`),
@@ -25,9 +26,10 @@ from dataclasses import asdict, dataclass
 __all__ = ["Degradation", "DegradationPolicy", "DEGRADATION_CHAIN"]
 
 #: the only legal direction of travel: earlier entries degrade to later ones.
-#: ``shm`` is the pooled shared-memory group handoff of the process backend;
-#: a group whose worker dies falls back to the in-parent batched kernel.
-DEGRADATION_CHAIN = ("shm", "batch", "process", "serial")
+#: A failed batch group falls to the process pool when its points are
+#: pooled (``batch -> process``), else to the per-point loop; a broken pool
+#: falls to the per-point loop (``process -> serial``).
+DEGRADATION_CHAIN = ("batch", "process", "serial")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ those sweeps into managed jobs instead of ad-hoc loops:
   (JSONL + index) with hit/miss accounting and automatic invalidation when
   :data:`SOLVER_VERSION` is bumped;
 * :mod:`~repro.runner.executor` -- :class:`SweepRunner` executes the misses
-  serially or on a process pool with per-point timeout, bounded retry, and
-  graceful serial fallback when workers die;
+  batch first: same-shape points as one batched fixed point in-process,
+  the rest serially or on a process pool with per-point timeout, bounded
+  retry, and graceful serial fallback when workers die;
 * :mod:`~repro.runner.manifest` -- :class:`RunManifest` reports wall clock,
   per-point latency, cache hit rate and failure counts as JSON;
 * :mod:`~repro.runner.config` -- process-global defaults wiring the runner

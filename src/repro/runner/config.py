@@ -34,14 +34,32 @@ _CONFIG: dict[str, object] = {
 _STORES: dict[str, ResultStore] = {}
 
 
+def _check(settings: dict[str, object]) -> None:
+    """Raise for any setting a :class:`SweepRunner` would reject.
+
+    The runner's own constructor does the checking, so
+    :func:`repro.configure` and ``SweepRunner`` reject the same values with
+    the same errors.  ``jobs=None`` and ``backend=None`` restore the
+    environment default and are not checked.
+    """
+    unknown = set(settings) - set(_CONFIG)
+    if unknown:
+        raise TypeError(f"unknown runner setting(s): {sorted(map(str, unknown))}")
+    SweepRunner(
+        **{
+            name: value
+            for name, value in settings.items()
+            if name == "retries" or (name in ("jobs", "backend") and value is not None)
+        }
+    )
+
+
 def _configure(**settings: object) -> dict[str, object]:
     """Set process-global runner defaults; returns the previous values.
 
     The implementation behind :func:`repro.configure`'s runner keywords.
     """
-    unknown = set(settings) - set(_CONFIG)
-    if unknown:
-        raise TypeError(f"unknown runner setting(s): {sorted(map(str, unknown))}")
+    _check(settings)
     previous = {k: _CONFIG[k] for k in settings}
     _CONFIG.update(settings)
     return previous

@@ -5,19 +5,23 @@ Execution pipeline for one :meth:`SweepRunner.run`:
 1. **Deduplicate** the requested specs by content-addressed key -- within a
    single run an identical point is never solved twice.
 2. **Probe the store**: keys with a persisted result become cache hits.
-3. **Solve the misses** on one of three backends:
+3. **Solve the misses**, batch first (see :meth:`SweepRunner._solve`):
 
-   * ``batch`` -- stack same-shape points into one batched AMVA fixed point
-     (:func:`repro.core.model.solve_points`); the in-process default for
-     figure-sized lattices, typically an order of magnitude faster than the
-     per-point loop.  Symmetric points come back bitwise-identical to a
-     scalar solve, so swapping backends never disturbs cached records.
-   * ``process`` -- a ``ProcessPoolExecutor`` with per-point timeout.
-     Worker exceptions are retried (bounded); a broken pool (worker died)
-     degrades gracefully to serial execution of whatever is left.
-   * ``serial`` -- the per-point in-process loop (tiny sweeps, where any
-     batching or pool overhead would dominate; also the fallback when a
-     batch group fails).
+   * ``batch`` -- every group of same-shape points (one scenario, method
+     and group key, e.g. one torus machine size) is stacked into one
+     batched AMVA fixed point in-process
+     (:func:`repro.core.model.solve_points`), whatever ``jobs`` is;
+     typically an order of magnitude faster than the per-point loop.
+     Symmetric points come back bitwise-identical to a scalar solve, so
+     swapping backends never disturbs cached records.
+   * ``process`` -- only what cannot batch (unbatchable methods, scenarios
+     without a batch path, a custom worker, the points of a failed batch
+     group) goes to a ``ProcessPoolExecutor`` when ``jobs > 1``, with a
+     per-point timeout.  Worker exceptions are retried (bounded); a
+     broken pool (worker died) degrades gracefully to serial execution
+     of whatever is left.
+   * ``serial`` -- the per-point in-process loop for the rest (tiny
+     sweeps, where any batching or pool overhead would dominate).
 
 4. **Persist** fresh results and emit a :class:`~repro.runner.manifest.RunManifest`.
 
@@ -45,18 +49,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from ..core.metrics import MMSPerformance
-from ..core.model import MMSModel
 from ..obs import Tracer, diff_snapshots, get_tracer
 from ..obs import registry as obs_registry
 from ..obs import trace_span
 from ..obs.timeseries import get_recorder
 from ..obs.trace import configure
 from ..params import MMSParams
-from ..queueing.kernels.shm import SharedArrays, attach_arrays, write_arrays
-from ..queueing.mva_symmetric import SymmetricSolution
 from ..resilience.degrade import DegradationPolicy
 from ..resilience.faults import fault_point
 from ..resilience.integrity import finite_measures
@@ -70,7 +69,7 @@ __all__ = [
     "SweepRunner",
     "RunReport",
     "solve_job",
-    "solve_group_shm",
+    "validate_backend",
     "BACKENDS",
 ]
 
@@ -83,6 +82,19 @@ Progress = Callable[[int, int, RunResult], None]
 BACKENDS = ("auto", "batch", "process", "serial")
 #: poll interval while a pooled point waits for a worker slot
 _POLL_S = 0.05
+
+
+def validate_backend(name: object) -> str:
+    """Check a sweep backend name; returns it.
+
+    The one check behind :class:`SweepRunner`, :func:`repro.configure`,
+    :func:`repro.sweep`, the fabric, and ``repro-mms sweep``/``worker``:
+    a name outside :data:`BACKENDS` raises ``ValueError`` naming the
+    choices.
+    """
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}; pick from {'/'.join(BACKENDS)}")
+    return name
 
 
 def solve_job(payload: Mapping[str, object]) -> dict[str, object]:
@@ -130,55 +142,6 @@ def solve_job(payload: Mapping[str, object]) -> dict[str, object]:
     ):
         perf = scenario.solve(params, method=payload["method"])
     return {"perf": perf.to_dict(), "elapsed": time.perf_counter() - t0}
-
-
-def solve_group_shm(payload: Mapping[str, object]) -> dict[str, object]:
-    """Pool worker for one shared-memory batched group.
-
-    The packed station arrays arrive as a :class:`SharedArrays` descriptor
-    (``payload["shm"]``) instead of pickled bytes; the solved arrays travel
-    back through pre-created result segments (``payload["out"]``), so the
-    only pickled traffic either direction is the small name/shape/dtype
-    metadata -- a figure-scale group costs the pool two byte copies, not
-    two serializations.  Runs the same ``solve_symmetric_batch`` every
-    other backend uses, so results are bitwise-identical to an in-process
-    batched solve.
-    """
-    if payload.get("pooled"):
-        if fault_point("worker.crash") is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
-        spec = fault_point("worker.hang")
-        if spec is not None:
-            time.sleep(float(spec.args.get("sleep_s", 30.0)))
-    from ..queueing.mva_batch import solve_symmetric_batch
-
-    t0 = time.perf_counter()
-    arrays = attach_arrays(payload["shm"])
-    sols = solve_symmetric_batch(
-        arrays["visits"],
-        arrays["service"],
-        arrays["station_type"],
-        arrays["populations"],
-        tol=float(payload.get("tol", 1e-12)),
-        servers=arrays["servers"],
-    )
-    batch = sols[0].telemetry.batch if sols and sols[0].telemetry else None
-    write_arrays(
-        payload["out"],
-        {
-            "throughput": np.array([s.throughput for s in sols]),
-            "waiting": np.stack([s.waiting for s in sols]),
-            "queue": np.stack([s.queue_length for s in sols]),
-            "total_queue": np.stack([s.total_queue for s in sols]),
-            "iterations": np.array([s.iterations for s in sols], dtype=np.int64),
-            "converged": np.array([s.converged for s in sols], dtype=bool),
-            "residual": np.array([s.residual for s in sols]),
-        },
-    )
-    return {
-        "batch": None if batch is None else batch.to_dict(),
-        "elapsed": time.perf_counter() - t0,
-    }
 
 
 class _PoolWatch:
@@ -271,39 +234,37 @@ class SweepRunner:
     Parameters
     ----------
     jobs:
-        Worker processes; 1 (default) solves in-process.
+        Worker processes for the points that cannot batch; 1 (default)
+        solves everything in-process.
     store / cache_dir:
         Persistent result store (or a directory to open one in).  ``None``
         disables caching.
     timeout:
         Per-point wall-clock budget in seconds.  Enforced only on the
-        parallel path -- a serial in-process solve cannot be preempted.
+        process pool -- an in-process solve cannot be preempted -- so under
+        ``backend="auto"`` with ``jobs > 1`` a timeout sends every point to
+        the pool.
     retries:
         Extra attempts for a point whose solve *raised* (timeouts are not
         retried: a point that exceeded its budget once will again).
     min_parallel_points:
-        Smallest number of cache misses worth spinning up a pool for;
-        below it the run stays serial regardless of ``jobs``.
+        Smallest number of pooled points worth spinning up a pool for;
+        below it they run serially regardless of ``jobs``.
     worker:
         Override the solve callable (test seam / custom backends).  Must be
         picklable for the parallel path.  A custom worker disables the
         batched backend -- batching is a property of the default solver.
     backend:
-        ``"auto"`` (default) picks the process pool when ``jobs > 1`` and
-        the sweep is big enough, then the batched kernel for groups of
-        same-shape points, then per-point serial.  ``"batch"``,
-        ``"process"`` and ``"serial"`` force a backend (each still falls
-        back to serial where its preconditions fail -- e.g. one point,
-        unbatchable method, or a dead pool).
+        ``"auto"`` (default) batches every group of same-shape points
+        in-process and sends only the leftovers to the process pool when
+        ``jobs > 1`` (every point, if a ``timeout`` is set); see
+        :meth:`_solve`.  ``"batch"`` batches and runs the leftovers
+        serially, ``"process"`` pools every point, ``"serial"`` solves
+        point by point in-process.  Each falls back to serial where its
+        preconditions fail (one point, unbatchable method, a dead pool).
     min_batch_points:
         Smallest group of same-shape cache misses worth stacking into one
         batched solve; below it points run per-point.
-    min_shm_points:
-        Smallest symmetric same-shape group the process backend ships to a
-        pool worker as one shared-memory batched solve (zero-pickle array
-        handoff, see :mod:`repro.queueing.kernels.shm`); smaller groups are
-        dispatched per point.  Only applies when no per-point ``timeout``
-        is set -- a batched group cannot be preempted point by point.
     journal:
         Path of a sweep progress journal.  When given, every completed
         point is durably appended (one flushed line each) so an
@@ -329,20 +290,14 @@ class SweepRunner:
         min_batch_points: int = 2,
         journal: str | os.PathLike | None = None,
         resume: bool = False,
-        min_shm_points: int = 1024,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; pick from {'/'.join(BACKENDS)}"
-            )
+        validate_backend(backend)
         if min_batch_points < 2:
             raise ValueError(f"min_batch_points must be >= 2, got {min_batch_points}")
-        if min_shm_points < 2:
-            raise ValueError(f"min_shm_points must be >= 2, got {min_shm_points}")
         if store is None and cache_dir is not None:
             store = ResultStore(cache_dir)
         self.jobs = jobs
@@ -355,7 +310,6 @@ class SweepRunner:
         self.min_batch_points = min_batch_points
         self.journal = journal
         self.resume = resume
-        self.min_shm_points = min_shm_points
 
     # ------------------------------------------------------------ public API
     def solve(self, params: MMSParams, method: str = "auto") -> MMSPerformance:
@@ -460,35 +414,15 @@ class SweepRunner:
             solver_batches: list[dict[str, object]] = []
             with trace_span("sweep.solve", pending=len(pending)) as sp:
                 if pending:
-                    use_pool = (
-                        self.backend in ("auto", "process")
-                        and self.jobs > 1
-                        and len(pending) >= self.min_parallel_points
+                    mode = self._solve(
+                        pending,
+                        resolved,
+                        stats,
+                        report_progress,
+                        len(unique),
+                        policy,
+                        solver_batches,
                     )
-                    if use_pool:
-                        mode = self._run_parallel(
-                            pending,
-                            resolved,
-                            stats,
-                            report_progress,
-                            done,
-                            policy,
-                            solver_batches,
-                        )
-                    elif self.backend in ("auto", "batch") and self.worker is solve_job:
-                        mode = self._run_batch(
-                            pending,
-                            resolved,
-                            stats,
-                            report_progress,
-                            done,
-                            solver_batches,
-                            policy,
-                        )
-                    else:
-                        self._run_serial(
-                            pending, resolved, stats, report_progress, done
-                        )
                 sp.set(mode=mode)
             stages["solve"] = time.perf_counter() - t0
 
@@ -617,33 +551,73 @@ class SweepRunner:
             return result
         return self._failure(payload, last_error or "unknown error", attempts)
 
+    def _solve(
+        self,
+        pending: list[Mapping[str, object]],
+        resolved: dict[str, RunResult],
+        stats: _RunStats,
+        progress: Progress | None,
+        total: int,
+        policy: DegradationPolicy,
+        solver_batches: list[dict[str, object]],
+    ) -> str:
+        """Route the cache misses by what they are; returns the run's mode.
+
+        Batch first: under ``auto`` and ``batch`` every batchable group of
+        at least ``min_batch_points`` points is solved in-process as one
+        stacked fixed point, whatever ``jobs`` is.  Only the leftovers --
+        unbatchable methods, scenarios without a batch path, a custom
+        worker, the points of a failed batch group -- go to the process
+        pool, under ``auto`` with ``jobs > 1`` and at least
+        ``min_parallel_points`` of them; otherwise they run serially.  Two
+        routes pool every point: ``backend="process"``, and ``auto`` with
+        a per-point ``timeout`` and ``jobs > 1``, because a stacked solve
+        cannot be preempted point by point.
+
+        A failed batch group is a recorded ``batch -> process`` degradation
+        when its points are pooled, ``batch -> serial`` otherwise.  The
+        mode is ``"parallel"`` if the pool ran (``"serial-fallback"`` if it
+        broke), else ``"batch"`` if any group batched, else ``"serial"``.
+        """
+        may_pool = self.backend in ("auto", "process") and self.jobs > 1
+        pool_all = (
+            may_pool
+            and (self.backend == "process" or self.timeout is not None)
+            and len(pending) >= self.min_parallel_points
+        )
+        leftovers: list[Mapping[str, object]] = pending
+        failed: list[tuple[str, int]] = []
+        if (
+            not pool_all
+            and self.backend in ("auto", "batch")
+            and self.worker is solve_job
+        ):
+            leftovers, failed = self._run_batch(
+                pending, resolved, stats, progress, total, solver_batches
+            )
+        pooled = may_pool and len(leftovers) >= self.min_parallel_points
+        for reason, points in failed:
+            policy.degrade("batch", "process" if pooled else "serial", reason, points)
+        if pooled:
+            return self._run_parallel(
+                leftovers, resolved, stats, progress, total, policy
+            )
+        self._run_serial(leftovers, resolved, stats, progress, total)
+        return "batch" if len(leftovers) < len(pending) else "serial"
+
     def _run_serial(
         self,
         pending: list[Mapping[str, object]],
         resolved: dict[str, RunResult],
         stats: _RunStats,
         progress: Progress | None,
-        done: int,
-    ) -> None:
-        self._run_serial_counted(
-            pending, resolved, stats, progress, done, done + len(pending)
-        )
-
-    def _run_serial_counted(
-        self,
-        pending: list[Mapping[str, object]],
-        resolved: dict[str, RunResult],
-        stats: _RunStats,
-        progress: Progress | None,
-        done: int,
         total: int,
     ) -> None:
         for payload in pending:
             result = self._solve_with_retry(payload, stats)
             resolved[payload["key"]] = result
-            done += 1
             if progress is not None:
-                progress(done, total, result)
+                progress(len(resolved), total, result)
 
     def _run_batch(
         self,
@@ -651,23 +625,21 @@ class SweepRunner:
         resolved: dict[str, RunResult],
         stats: _RunStats,
         progress: Progress | None,
-        done: int,
+        total: int,
         solver_batches: list[dict[str, object]],
-        policy: DegradationPolicy,
-    ) -> str:
-        """Batched in-process execution; returns the mode the run ended in.
+    ) -> tuple[list[Mapping[str, object]], list[tuple[str, int]]]:
+        """Solve every batchable group in-process; returns what is left.
 
         Pending points are grouped by ``(scenario, method, group key)`` --
         the homogeneity the scenario's batched solve requires (for the
         torus: one machine size, per :func:`~repro.core.model.solve_points`)
         -- and each group large enough is solved as one stacked fixed
-        point.  Leftovers (small groups, unbatchable methods, scenarios
-        without a batch path) run per-point; a group whose batch solve
-        raised or produced non-finite measures is a recorded batch->serial
-        degradation and also runs per-point.  The mode is ``"batch"`` only
-        if at least one group actually batched.
+        point.  Returns the leftovers (small groups, unbatchable methods,
+        scenarios without a batch path, and groups whose batch solve
+        raised or produced non-finite measures) and one ``(reason,
+        points)`` per failed group, which the caller records as a
+        degradation once it knows where the leftovers run.
         """
-        total = done + len(pending)
         groups: dict[tuple, list[Mapping[str, object]]] = {}
         for payload in pending:
             scenario = payload_scenario(payload)
@@ -676,8 +648,8 @@ class SweepRunner:
                 (scenario.name, payload["method"], scenario.group_key(params)), []
             ).append(payload)
 
-        batched_any = False
-        serial_left: list[Mapping[str, object]] = []
+        leftovers: list[Mapping[str, object]] = []
+        failed: list[tuple[str, int]] = []
         for (scenario_name, method, group_key), group in groups.items():
             scenario = payload_scenario(group[0])
             if (
@@ -685,7 +657,7 @@ class SweepRunner:
                 or method not in scenario.batchable_methods
                 or len(group) < self.min_batch_points
             ):
-                serial_left.extend(group)
+                leftovers.extend(group)
                 continue
             t0 = time.perf_counter()
             try:
@@ -693,22 +665,14 @@ class SweepRunner:
                     [scenario.params_from_dict(p["params"]) for p in group],
                     method=method,
                 )
-            except Exception as exc:  # noqa: BLE001 - degrade to the per-point loop
-                policy.degrade(
-                    "batch", "serial", f"{type(exc).__name__}: {exc}", len(group)
-                )
-                serial_left.extend(group)
+            except Exception as exc:  # noqa: BLE001 - degrade to the per-point path
+                failed.append((f"{type(exc).__name__}: {exc}", len(group)))
+                leftovers.extend(group)
                 continue
             if not all(finite_measures(perf.to_dict()) for perf in perfs):
-                policy.degrade(
-                    "batch",
-                    "serial",
-                    "non-finite measures in batched solve",
-                    len(group),
-                )
-                serial_left.extend(group)
+                failed.append(("non-finite measures in batched solve", len(group)))
+                leftovers.extend(group)
                 continue
-            batched_any = True
             # The true batch span is recorded once: `solve_points` emits the
             # solver.batch trace span and the telemetry below carries the
             # batch wall time.  Each point still gets an even `share` so the
@@ -725,15 +689,11 @@ class SweepRunner:
                 stats.latencies.append(result.elapsed)
                 stats.amortized += 1
                 resolved[payload["key"]] = result
-                done += 1
                 if progress is not None:
-                    progress(done, total, result)
+                    progress(len(resolved), total, result)
             if telemetry is not None:
                 solver_batches.append({"method": method, **telemetry.to_dict()})
-
-        if serial_left:
-            self._run_serial_counted(serial_left, resolved, stats, progress, done, total)
-        return "batch" if batched_any else "serial"
+        return leftovers, failed
 
     def _pooled_result(
         self,
@@ -775,202 +735,16 @@ class SweepRunner:
                 if time.monotonic() - watch.progress_t >= self.timeout:
                     raise
 
-    def _shm_partition(
-        self, pending: list[Mapping[str, object]]
-    ) -> tuple[list[list[tuple[Mapping[str, object], MMSModel]]], list[Mapping[str, object]]]:
-        """Split *pending* into shm-batchable symmetric groups and the rest.
-
-        A group qualifies for the shared-memory batched handoff when the
-        default worker is in play (batching is a property of the default
-        solver), no per-point timeout is set (a stacked solve cannot be
-        preempted point by point), every point resolves to the symmetric
-        method on one machine size, and the group reaches
-        ``min_shm_points``.
-        """
-        if self.worker is not solve_job or self.timeout is not None:
-            return [], list(pending)
-        groups: dict[int, list[tuple[Mapping[str, object], MMSModel]]] = {}
-        rest: list[Mapping[str, object]] = []
-        for payload in pending:
-            if payload.get("scenario") is not None:
-                # the shm pack is torus-specific; non-default scenarios
-                # take the per-point (or in-process batch) path
-                rest.append(payload)
-                continue
-            if payload["method"] not in ("auto", "symmetric"):
-                rest.append(payload)
-                continue
-            model = MMSModel(MMSParams.from_dict(payload["params"]))
-            if not model.is_symmetric:
-                rest.append(payload)
-                continue
-            groups.setdefault(model.params.arch.num_processors, []).append(
-                (payload, model)
-            )
-        eligible = []
-        for _size, group in groups.items():
-            if len(group) >= self.min_shm_points:
-                eligible.append(group)
-            else:
-                rest.extend(p for p, _m in group)
-        return eligible, rest
-
-    def _submit_shm_group(self, pool: ProcessPoolExecutor, group) -> tuple:
-        """Pack one symmetric group into shared memory and submit it.
-
-        Both the packed station arrays and the (pre-created) result
-        segments are owned by this process; the worker only ever attaches.
-        On any failure the segments are unlinked before re-raising, so a
-        broken submission never leaks shared memory.
-        """
-        arrays = [m.station_arrays() for _, m in group]
-        visits = np.stack([a[0] for a in arrays])
-        b, m = visits.shape
-        inputs = SharedArrays(
-            {
-                "visits": visits,
-                "service": np.stack([a[1] for a in arrays]),
-                "servers": np.stack([a[3] for a in arrays]),
-                "populations": np.array(
-                    [mod.params.workload.num_threads for _, mod in group]
-                ),
-                "station_type": arrays[0][2],
-            }
-        )
-        try:
-            outs = SharedArrays(
-                {
-                    "throughput": np.zeros(b),
-                    "waiting": np.zeros((b, m)),
-                    "queue": np.zeros((b, m)),
-                    "total_queue": np.zeros((b, m)),
-                    "iterations": np.zeros(b, dtype=np.int64),
-                    "converged": np.zeros(b, dtype=bool),
-                    "residual": np.zeros(b),
-                }
-            )
-        except Exception:
-            inputs.unlink()
-            raise
-        try:
-            future = pool.submit(
-                solve_group_shm,
-                {
-                    "shm": inputs.meta,
-                    "out": outs.meta,
-                    "tol": 1e-12,
-                    "pooled": True,
-                },
-            )
-        except Exception:
-            inputs.unlink()
-            outs.unlink()
-            raise
-        return group, arrays, inputs, outs, future
-
-    def _collect_shm_group(
-        self,
-        group,
-        arrays,
-        outs: SharedArrays,
-        future,
-        resolved: dict[str, RunResult],
-        stats: _RunStats,
-        progress: Progress | None,
-        done: int,
-        total: int,
-        solver_batches: list[dict[str, object]],
-    ) -> int:
-        """Turn one finished shm group into per-point results; returns the
-        updated done count.  Raises (for the caller to degrade the whole
-        group) if the worker failed or produced non-finite measures."""
-        out = future.result()
-        res = attach_arrays(outs.meta)
-        share = float(out["elapsed"]) / len(group)
-        results = []
-        for i, ((payload, model), arr) in enumerate(zip(group, arrays)):
-            sol = SymmetricSolution(
-                throughput=float(res["throughput"][i]),
-                waiting=res["waiting"][i],
-                queue_length=res["queue"][i],
-                total_queue=res["total_queue"][i],
-                iterations=int(res["iterations"][i]),
-                converged=bool(res["converged"][i]),
-                residual=float(res["residual"][i]),
-            )
-            perf = model._measures(arr[0], sol, "symmetric")
-            rec = {"perf": perf.to_dict(), "elapsed": share, "amortized": True}
-            if not finite_measures(rec["perf"]):
-                raise RuntimeError("non-finite measures in shared-memory batch")
-            results.append((payload, rec))
-        batch = out.get("batch")
-        if batch is not None:
-            solver_batches.append({"method": "symmetric", "handoff": "shm", **batch})
-            self._record_shm_batch_obs(batch)
-        for payload, rec in results:
-            result = self._from_record(payload, rec, from_cache=False)
-            stats.latencies.append(result.elapsed)
-            stats.amortized += 1
-            resolved[payload["key"]] = result
-            done += 1
-            if progress is not None:
-                progress(done, total, result)
-        return done
-
-    @staticmethod
-    def _record_shm_batch_obs(batch: Mapping[str, object]) -> None:
-        """Fold a worker-side batched solve into this process's telemetry.
-
-        The worker solved in its own process, so the usual ``solver.batch``
-        span and ``solver.batch.*`` counters landed in a registry that died
-        with it; re-emit them here from the returned batch telemetry so
-        shm-handoff runs mean the same thing in traces and metrics as
-        in-process batched ones.
-        """
-        from ..core.model import _record_batch_obs
-        from ..queueing.solution import BatchTelemetry
-
-        telemetry = BatchTelemetry(
-            batch_size=int(batch["batch_size"]),
-            iterations=int(batch["iterations"]),
-            converged=int(batch["converged"]),
-            max_residual=float(batch["max_residual"]),
-            active_trajectory=tuple(batch["active_trajectory"]),
-            wall_time_s=float(batch["wall_time_s"]),
-        )
-        with trace_span("solver.batch", points=telemetry.batch_size) as sp:
-            _record_batch_obs(sp, "symmetric", telemetry)
-
-    @staticmethod
-    def _degrade_shm_group(
-        policy: DegradationPolicy,
-        group,
-        reason: str,
-        shm_failed: list[Mapping[str, object]],
-    ) -> None:
-        """Record one shm group's shm->batch degradation."""
-        policy.degrade("shm", "batch", reason, len(group))
-        shm_failed.extend(p for p, _m in group)
-
     def _run_parallel(
         self,
         pending: list[Mapping[str, object]],
         resolved: dict[str, RunResult],
         stats: _RunStats,
         progress: Progress | None,
-        done: int,
+        total: int,
         policy: DegradationPolicy,
-        solver_batches: list[dict[str, object]],
     ) -> str:
-        """Pool execution; returns the mode the run ended in.
-
-        Figure-scale symmetric groups (``min_shm_points`` or more points of
-        one machine size) are shipped to a pool worker as a single batched
-        solve over shared memory -- zero pickled arrays either direction --
-        and unpacked into the same per-point results the batch backend
-        produces.  A group whose worker failed degrades (recorded) to the
-        in-process batch path, not to per-point serial.  Everything else is
-        dispatched per point exactly as before.
+        """Per-point pool execution; returns the mode the run ended in.
 
         The per-point timeout budgets *execution*, not queue wait: each
         future's clock arms when it is first observed running, so a long
@@ -981,7 +755,6 @@ class SweepRunner:
         worker wedged on a hung point) fails its never-started points as
         timeouts instead of waiting forever -- see :meth:`_pooled_result`.
         """
-        total = done + len(pending)
         mode = "parallel"
         # Under an active tracer, submitted payload copies carry the trace
         # context; each worker's buffered spans come back in the result and
@@ -990,28 +763,15 @@ class SweepRunner:
         # worker.* fault sites to pool processes.
         tracer = get_tracer()
         ctx = tracer.context() if tracer is not None else None
-        shm_groups, perpoint = self._shm_partition(pending)
         pool = ProcessPoolExecutor(max_workers=self.jobs)
         pool_error: str | None = None
         hung = False
         #: arms execution deadlines as points start; shared stall guard
         watch = _PoolWatch()
-        shm_jobs: list[tuple] = []
-        shm_failed: list[Mapping[str, object]] = []
         try:
-            for group in shm_groups:
-                try:
-                    shm_jobs.append(self._submit_shm_group(pool, group))
-                except BrokenProcessPool as exc:
-                    pool_error = f"{type(exc).__name__}: {exc}"
-                    self._degrade_shm_group(policy, group, pool_error, shm_failed)
-                except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                    self._degrade_shm_group(
-                        policy, group, f"{type(exc).__name__}: {exc}", shm_failed
-                    )
             try:
                 futures = []
-                for p in perpoint:
+                for p in pending:
                     job = {**p, "pooled": True}
                     if ctx is not None:
                         job["trace"] = ctx
@@ -1019,30 +779,6 @@ class SweepRunner:
             except BrokenProcessPool as exc:
                 pool_error = f"{type(exc).__name__}: {exc}"
                 futures = []
-            for group, arrays, inputs, outs, future in shm_jobs:
-                try:
-                    done = self._collect_shm_group(
-                        group,
-                        arrays,
-                        outs,
-                        future,
-                        resolved,
-                        stats,
-                        progress,
-                        done,
-                        total,
-                        solver_batches,
-                    )
-                except BrokenProcessPool as exc:
-                    pool_error = f"{type(exc).__name__}: {exc}"
-                    self._degrade_shm_group(policy, group, pool_error, shm_failed)
-                except Exception as exc:  # noqa: BLE001 - degrade, don't die
-                    self._degrade_shm_group(
-                        policy, group, f"{type(exc).__name__}: {exc}", shm_failed
-                    )
-                finally:
-                    inputs.unlink()
-                    outs.unlink()
             for payload, future in futures:
                 key = payload["key"]
                 try:
@@ -1080,9 +816,8 @@ class SweepRunner:
                         prior_error=f"{type(exc).__name__}: {exc}",
                     )
                 resolved[key] = result
-                done += 1
                 if progress is not None:
-                    progress(done, total, result)
+                    progress(len(resolved), total, result)
         finally:
             # don't block on a hung-but-running worker; cancel what we can,
             # and kill workers still running a timed-out point outright so
@@ -1094,21 +829,6 @@ class SweepRunner:
                     if proc.is_alive():
                         proc.terminate()
 
-        if shm_failed:
-            # a failed shared-memory group still gets its stacked solve --
-            # in-process, through the batch backend (degradation recorded
-            # above); only a second failure there drops it to per-point
-            unresolved = sum(1 for p in pending if p["key"] not in resolved)
-            self._run_batch(
-                shm_failed,
-                resolved,
-                stats,
-                progress,
-                total - unresolved,
-                solver_batches,
-                policy,
-            )
-
         remaining = [p for p in pending if p["key"] not in resolved]
         if remaining:
             stats.worker_crashes += 1
@@ -1119,7 +839,7 @@ class SweepRunner:
                 pool_error or "broken process pool",
                 len(remaining),
             )
-            self._run_serial(remaining, resolved, stats, progress, total - len(remaining))
+            self._run_serial(remaining, resolved, stats, progress, total)
         return mode
 
     def close(self) -> None:

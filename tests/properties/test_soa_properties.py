@@ -1,6 +1,6 @@
 """Property tests for the structure-of-arrays kernel layer.
 
-Three invariants the kernel refactor promised, checked on arbitrary
+Two invariants the kernel refactor promised, checked on arbitrary
 batches:
 
 * **pack/unpack round trip** -- ``SymmetricSoA.pack`` /
@@ -9,22 +9,16 @@ batches:
   the exact ``s/n`` + ``s(n-1)/n`` decomposition);
 * **batch invariance at the kernel seam** -- permuting a batch permutes
   the fixed-point outputs bitwise, and solving any slot alone is bitwise
-  equal to solving it inside the batch;
-* **shared-memory handoff** -- arrays that travel through
-  ``SharedArrays``/``attach_arrays`` come back bitwise equal to a pickle
-  round trip of the same arrays.
+  equal to solving it inside the batch.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.queueing.kernels import MulticlassSoA, SymmetricSoA, reference
-from repro.queueing.kernels.shm import SharedArrays, attach_arrays
 from repro.queueing.network import ClosedNetwork
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -180,60 +174,3 @@ class TestBatchInvariance:
         single = reference.symmetric_fixed_point(alone, TOL, MAX_ITER)
         for got, want in zip(_rows(single), _rows(batch)):
             assert np.array_equal(got[0], want[i])
-
-
-@st.composite
-def array_payloads(draw):
-    """A name -> array dict mixing the dtypes the executor actually ships."""
-    b = draw(st.integers(min_value=1, max_value=8))
-    m = draw(st.integers(min_value=1, max_value=12))
-    floats = st.floats(min_value=-1e12, max_value=1e12, **finite)
-    payload = {
-        "visits": np.array(
-            draw(
-                st.lists(
-                    st.lists(floats, min_size=m, max_size=m),
-                    min_size=b,
-                    max_size=b,
-                )
-            )
-        ),
-        "iterations": np.array(
-            draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=2**31),
-                    min_size=b,
-                    max_size=b,
-                )
-            ),
-            dtype=np.int64,
-        ),
-        "converged": np.array(
-            draw(st.lists(st.booleans(), min_size=b, max_size=b))
-        ),
-    }
-    return payload
-
-
-class TestShmHandoff:
-    @given(payload=array_payloads())
-    @settings(max_examples=25, deadline=None)
-    def test_shm_round_trip_bitwise_equals_pickle(self, payload):
-        via_pickle = pickle.loads(pickle.dumps(payload))
-        shm = SharedArrays(payload)
-        try:
-            via_shm = attach_arrays(shm.meta)
-        finally:
-            shm.unlink()
-        assert set(via_shm) == set(payload)
-        for name in payload:
-            assert via_shm[name].dtype == via_pickle[name].dtype
-            assert np.array_equal(via_shm[name], via_pickle[name])
-
-    def test_attached_copies_survive_unlink(self):
-        payload = {"x": np.arange(12, dtype=np.float64).reshape(3, 4)}
-        shm = SharedArrays(payload)
-        got = attach_arrays(shm.meta)
-        shm.unlink()
-        shm.unlink()  # idempotent
-        assert np.array_equal(got["x"], payload["x"])

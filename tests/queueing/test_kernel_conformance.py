@@ -34,11 +34,6 @@ RUNNERS = {
     "batch": lambda: SweepRunner(backend="batch"),
     "serial": lambda: SweepRunner(backend="serial"),
     "process": lambda: SweepRunner(backend="process", jobs=2),
-    # same pool, but the whole lattice rides to one worker through the
-    # zero-pickle shared-memory group handoff
-    "process-shm": lambda: SweepRunner(
-        backend="process", jobs=2, min_shm_points=8
-    ),
 }
 
 
@@ -71,13 +66,6 @@ class TestLatticeMatrix:
     def test_cell_bitwise_matches_reference(self, backend, reference_records):
         report = RUNNERS[backend]().run(_lattice_specs())
         assert _canonical_records(report) == reference_records
-
-    def test_shm_cell_actually_used_the_shm_handoff(self):
-        report = RUNNERS["process-shm"]().run(_lattice_specs())
-        assert report.manifest.mode == "parallel"
-        assert report.manifest.degradations == []
-        handoffs = [b.get("handoff") for b in report.manifest.solver_batches]
-        assert "shm" in handoffs
 
     def test_batch_cell_actually_batched(self):
         report = RUNNERS["batch"]().run(_lattice_specs())

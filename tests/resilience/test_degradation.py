@@ -19,7 +19,7 @@ def _specs(n=6):
 
 class TestPolicy:
     def test_chain_order(self):
-        assert DEGRADATION_CHAIN == ("shm", "batch", "process", "serial")
+        assert DEGRADATION_CHAIN == ("batch", "process", "serial")
 
     def test_records_structured_entries(self):
         policy = DegradationPolicy()
@@ -75,6 +75,17 @@ class TestRunnerDegradations:
         assert "InjectedFault" in entry["reason"]
         assert entry["points"] == len(_specs())
         assert report.manifest.mode == "serial"
+
+    def test_pooled_batch_group_degrades_to_process(self, fault_plan):
+        golden = SweepRunner(backend="serial").run(_specs()).records()
+        fault_plan({"sites": {"solve.raise": {"on_nth": [1]}}})
+        report = SweepRunner(jobs=2, min_parallel_points=1).run(_specs())
+        assert report.ok
+        assert report.records() == golden
+        (entry,) = report.manifest.degradations
+        assert entry["from_mode"] == "batch" and entry["to_mode"] == "process"
+        assert entry["points"] == len(_specs())
+        assert report.manifest.mode == "parallel"
 
     def test_batch_nan_poison_degrades_and_recovers(self, fault_plan):
         golden = SweepRunner(backend="serial").run(_specs()).records()

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import repro
+from repro.analysis import experiments
 from repro.analysis.sweep import sweep
 from repro.params import paper_defaults
 from repro.runner import JobSpec, SweepRunner, canonical_json
@@ -73,6 +74,59 @@ class TestBackendRouting:
             SweepRunner(backend="quantum")
         with pytest.raises(ValueError, match="min_batch_points"):
             SweepRunner(min_batch_points=1)
+
+
+def _figure4_specs():
+    return [
+        JobSpec(paper_defaults(num_threads=n, p_remote=p))
+        for n in experiments.DEFAULT_THREADS
+        for p in experiments.DEFAULT_P_REMOTE
+    ]
+
+
+def _canonical(report):
+    assert report.ok, [r.error for r in report.results if not r.ok]
+    return [canonical_json(r) for r in report.records()]
+
+
+class TestJobsRouting:
+    """``--jobs N`` routes by batchability: what batches never waits on a
+    pool; only what cannot batch is pooled."""
+
+    def test_figure4_lattice_batches_at_any_jobs(self):
+        specs = _figure4_specs()
+        assert len(specs) == 176
+        serial_jobs = SweepRunner(jobs=1).run(specs)
+        report = SweepRunner(jobs=2).run(specs)
+        assert report.manifest.mode == "batch"
+        assert report.manifest.degradations == []
+        assert sum(b["batch_size"] for b in report.manifest.solver_batches) == 176
+        assert _canonical(report) == _canonical(serial_jobs)
+
+    def test_mixed_run_batches_symmetric_and_pools_linearizer(self):
+        specs = [
+            JobSpec(paper_defaults(k=2, num_threads=n, p_remote=p))
+            for n in (1, 2, 4)
+            for p in (0.1, 0.3)
+        ] + [
+            JobSpec(paper_defaults(k=2, num_threads=n), method="linearizer")
+            for n in (1, 2, 3)
+        ]
+        report = SweepRunner(jobs=2, min_parallel_points=1).run(specs)
+        assert report.manifest.mode == "parallel"
+        assert report.manifest.degradations == []
+        (batch,) = report.manifest.solver_batches
+        assert batch["batch_size"] == 6
+        serial = SweepRunner(backend="serial").run(specs)
+        assert _canonical(report) == _canonical(serial)
+
+    def test_timeout_pools_every_point(self):
+        report = SweepRunner(jobs=2, timeout=60.0, min_parallel_points=1).run(
+            _specs()
+        )
+        assert report.manifest.mode == "parallel"
+        assert report.manifest.solver_batches == []
+        assert _canonical(report) == _canonical(SweepRunner().run(_specs()))
 
 
 class TestBackendInterop:

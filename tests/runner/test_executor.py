@@ -169,7 +169,9 @@ class TestParallelEquality:
             for p in p_remotes
         ]
         serial = SweepRunner(jobs=1).run(specs)
-        parallel = SweepRunner(jobs=2, min_parallel_points=1).run(specs)
+        parallel = SweepRunner(
+            backend="process", jobs=2, min_parallel_points=1
+        ).run(specs)
         assert parallel.manifest.mode == "parallel"
         assert [canonical_json(r) for r in parallel.records()] == [
             canonical_json(r) for r in serial.records()

@@ -147,6 +147,40 @@ class TestSolve:
         assert HIER.perf_from_dict(perf.to_dict()).to_dict() == perf.to_dict()
 
 
+class TestExactReference:
+    def test_amva_within_three_percent_below_exact_mva(self):
+        """Bard-Schweitzer against exact MVA, the reference that does not
+        share the kernel (hier has no simulator), on 2x2 clusters over n_t
+        {1, 2, 3} x p_remote {0.1, 0.4, 0.8} x p_intra {0.5, 0.9}: every
+        class is symmetric, so class 0's exact throughput is the per-
+        processor throughput.  The AMVA never overestimates it and is
+        within 3% (the worst point, n_t=2, p_remote=0.4, p_intra=0.5, is
+        ~2.5% low)."""
+        from repro.queueing.mva_exact import exact_mva
+
+        bad = []
+        for n_t in (1, 2, 3):
+            for p_remote in (0.1, 0.4, 0.8):
+                for p_intra in (0.5, 0.9):
+                    point = dict(
+                        clusters=2,
+                        cluster_size=2,
+                        num_threads=n_t,
+                        p_remote=p_remote,
+                        p_intra=p_intra,
+                    )
+                    amva = repro.solve(scenario="hier", **point).summary()[
+                        "throughput"
+                    ]
+                    exact = exact_mva(build_network(HierParams(**point)))
+                    ex = float(exact.throughput[0])
+                    if not (amva <= ex and (ex - amva) / ex <= 0.03):
+                        bad.append((n_t, p_remote, p_intra, amva, ex))
+        assert not bad, (
+            f"(n_t, p_remote, p_intra, AMVA X, exact X) out of bounds: {bad}"
+        )
+
+
 class TestBatch:
     POINTS = [SMALL.with_(num_threads=n, inter_delay=d)
               for n in (1, 2, 4, 8) for d in (5.0, 40.0)]

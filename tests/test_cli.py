@@ -195,6 +195,17 @@ class TestSweepSelectionErrors:
         )
         assert err.count("\n") <= 1
 
+    def test_worker_unknown_backend_enumerates_choices(self, tmp_path, capsys):
+        rc = main(
+            ["worker", "--fabric", str(tmp_path), "--backend", "bogus", "--wait", "0"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.strip() == (
+            "repro-mms: error: unknown backend 'bogus'; "
+            "pick from auto/batch/process/serial"
+        )
+
     def test_unknown_kernel_enumerates_choices(self, capsys):
         rc = main(["sweep", "--axis", "num_threads=1,2", "--kernel", "bogus"])
         err = capsys.readouterr().err

@@ -2,8 +2,8 @@
 
 The one-kernel story is documented in three places -- the
 ``repro.configure`` table in docs/API.md, the backend/kernel section of the
-README, and THEORY.md §8 -- and the degradation chain (including the
-``shm`` handoff) in docs/RESILIENCE.md.  These tests check the accepted
+README, and THEORY.md §8 -- and the degradation chain in
+docs/RESILIENCE.md.  These tests check the accepted
 kernel names, the env var and the kernel modules against the prose, so
 adding a kernel back, renaming a module, or reordering the chain fails
 loudly here instead of silently rotting the docs.
@@ -79,11 +79,11 @@ class TestTheory:
         text = THEORY.read_text(encoding="utf-8")
         assert "repro.queueing.kernels" in text
         kernel_dir = ROOT / "src" / "repro" / "queueing" / "kernels"
-        for mod in ("soa", "reference", "shm"):
+        for mod in ("soa", "reference"):
             assert (kernel_dir / f"{mod}.py").is_file()
             assert f"kernels.{mod}" in text
         assert sorted(p.stem for p in kernel_dir.glob("*.py")) == [
-            "__init__", "reference", "shm", "soa"
+            "__init__", "reference", "soa"
         ], "a kernel module was added or removed; update THEORY.md §8"
 
     def test_one_kernel_statement_present(self):

@@ -156,6 +156,53 @@ class TestConfigure:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
+    @pytest.mark.parametrize(
+        "kwargs, error, match",
+        [
+            ({"backend": "quantum"}, ValueError, "unknown backend 'quantum'"),
+            ({"jobs": 0}, ValueError, "jobs must be >= 1"),
+            ({"jobs": 7, "retries": -1}, ValueError, "retries must be >= 0"),
+            ({"jobs": 7, "retries": None}, TypeError, "not supported"),
+            ({"jobs": 7, "scenario": "bogus"}, ValueError, "unknown scenario"),
+            ({"jobs": 7, "fault_plan": "{bad"}, ValueError, "^fault_plan: "),
+            (
+                {"jobs": 7, "scenario": "hier", "fault_plan": "/no/such/plan.json"},
+                ValueError,
+                "^fault_plan: ",
+            ),
+            (
+                {"jobs": 7, "fault_plan": {"sites": {"no.such.site": {}}}},
+                ValueError,
+                "^fault_plan: ",
+            ),
+        ],
+    )
+    def test_rejected_call_changes_nothing(self, kwargs, error, match):
+        """Every keyword is checked before any setting changes."""
+        from repro.resilience.faults import get_injector
+        from repro.runner.config import effective_config
+        from repro.scenarios import default_scenario
+
+        config, scenario, injector = (
+            effective_config(), default_scenario(), get_injector()
+        )
+        with pytest.raises(error, match=match):
+            repro.configure(**kwargs)
+        assert effective_config() == config
+        assert default_scenario() == scenario
+        assert get_injector() is injector
+
+    def test_bad_settings_rejected_like_the_runner(self):
+        """configure raises the errors ``SweepRunner`` would, up front."""
+        from repro.runner import SweepRunner
+
+        for kwargs in ({"backend": "quantum"}, {"jobs": 0}, {"retries": -1}):
+            with pytest.raises(ValueError) as by_runner:
+                SweepRunner(**kwargs)
+            with pytest.raises(ValueError) as by_configure:
+                repro.configure(**kwargs)
+            assert str(by_configure.value) == str(by_runner.value)
+
     def test_subsystems_have_no_configure_of_their_own(self):
         from repro import obs, resilience, runner
 
